@@ -32,7 +32,6 @@ from routesim import distance
 from routesim.routing import (
     RouteResult,
     Mode,
-    forwarding_set,
     greedy_route,
     sp_route,
     planarize,

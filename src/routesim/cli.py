@@ -23,7 +23,7 @@ from routesim.harness import (
     evaluate_scenario,
     sweep,
 )
-from routesim.routing import GEO_PROTOCOLS, route
+from routesim.routing import CoordSource, route
 from routesim.routing.result import Failure
 from routesim.topology import TopologyError, format_topology
 
@@ -60,7 +60,7 @@ def cmd_gen(args) -> int:
 
 def cmd_coords(args) -> int:
     cfg = load_config(args.config)
-    if cfg.protocol in GEO_PROTOCOLS:
+    if cfg.spec.coords == CoordSource.GEO:
         return _fail("coords needs a virtual-coordinate protocol (gf-vcs, gf-avcs, lcr, bvr)")
     sc = Scenario.build(cfg)
     ac = sc.av
@@ -77,10 +77,7 @@ def cmd_route(args) -> int:
     if not (0 <= args.src < n and 0 <= args.dst < n):
         return _fail(f"src/dst must be node ids in [0, {n})")
     rr = route(cfg.protocol, args.src, args.dst, sc.ctx)
-    if cfg.protocol in GEO_PROTOCOLS:
-        dfield = sc.ctx.dfield("gf-geo", args.dst)
-    else:
-        dfield = sc.ctx.dfield(cfg.protocol, args.dst)
+    dfield = sc.ctx.dfield(cfg.protocol, args.dst)
     lines = []
     for i, node in enumerate(rr.path):
         mode = "start" if i == 0 else rr.modes[i - 1]

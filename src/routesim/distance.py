@@ -30,13 +30,13 @@ def _check_dims(av, v_dst) -> tuple[np.ndarray, np.ndarray]:
 def euclidean_vcs(av, v_dst) -> float:
     """sqrt of the summed squared per-dimension differences."""
     a, b = _check_dims(av, v_dst)
-    return float(np.sqrt(((a - b) ** 2).sum()))
+    return float(euclidean_field(a[None], b)[0])
 
 
 def manhattan_vcs(av, v_dst) -> float:
     """Sum of absolute per-dimension differences."""
     a, b = _check_dims(av, v_dst)
-    return float(np.abs(a - b).sum())
+    return float(manhattan_field(a[None], b)[0])
 
 
 def semi_manhattan_vcs(av, v_dst, weight: float = DEFAULT_SEMI_WEIGHT) -> float:
@@ -44,10 +44,7 @@ def semi_manhattan_vcs(av, v_dst, weight: float = DEFAULT_SEMI_WEIGHT) -> float:
     if weight <= 0:
         raise ValueError("semi-Manhattan weight must be positive")
     a, b = _check_dims(av, v_dst)
-    diff = a - b
-    over = np.clip(diff, 0.0, None).sum()
-    under = np.clip(-diff, 0.0, None).sum()
-    return float(weight * over + under)
+    return float(semi_manhattan_field(a[None], b, weight)[0])
 
 
 def planar_euclidean(p, q) -> float:
@@ -90,16 +87,4 @@ def field_function(kind: str, weight: float = DEFAULT_SEMI_WEIGHT) -> Callable[[
         return lambda m, v: semi_manhattan_field(m, v, weight)
     if kind == "geo":
         return planar_field
-    raise ValueError(f"unknown distance kind {kind!r}")
-
-
-def point_function(kind: str, weight: float = DEFAULT_SEMI_WEIGHT) -> Callable:
-    if kind == "euclid":
-        return euclidean_vcs
-    if kind == "manhattan":
-        return manhattan_vcs
-    if kind == "semi":
-        return lambda a, b: semi_manhattan_vcs(a, b, weight)
-    if kind == "geo":
-        return planar_euclidean
     raise ValueError(f"unknown distance kind {kind!r}")

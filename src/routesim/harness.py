@@ -30,14 +30,15 @@ from routesim.coords import (
     build_vcs,
     corner_anchors,
     geo_view,
+    hop_counts,
 )
 from routesim.routing import (
-    GEO_PROTOCOLS,
-    METHOD_GG,
-    METHOD_RNG,
+    PROTOCOL_SPECS,
+    CoordSource,
     Mode,
     Outcome,
-    PROTOCOLS,
+    ProtocolSpec,
+    Recovery,
     RoutingContext,
     bvr_route,
     gpsr_route,
@@ -108,10 +109,12 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.deployment not in ("grid", "random", "abc-fixture"):
             raise ScenarioError(f"unknown deployment kind {self.deployment!r}")
-        if self.protocol not in PROTOCOLS:
+        if self.protocol not in PROTOCOL_SPECS:
             raise ScenarioError(f"unknown protocol {self.protocol!r}")
         if self.distance not in dist_mod.KINDS:
             raise ScenarioError(f"unknown distance kind {self.distance!r}")
+        if self.semi_weight <= 0:
+            raise ScenarioError("semi_weight must be positive")
         if self.align_rule not in ALIGN_RULES:
             raise ScenarioError(f"unknown alignment rule {self.align_rule!r}")
         if self.align_depth < 0:
@@ -138,9 +141,9 @@ class ScenarioConfig:
             base = "abc"
         return f"{base}-r{self.radio_range:g}-{self.protocol}-{tag}"
 
-
-def _needs_vcs(protocol: str) -> bool:
-    return protocol not in GEO_PROTOCOLS
+    @property
+    def spec(self) -> ProtocolSpec:
+        return PROTOCOL_SPECS[self.protocol]
 
 
 @dataclass
@@ -178,7 +181,7 @@ class Scenario:
                 perceived = perturb_positions(t, config.loc_error, config.seed + _PERTURB_SALT)
             anchors = None
             vc = None
-            if _needs_vcs(config.protocol):
+            if config.spec.coords != CoordSource.GEO:
                 if isinstance(config.anchors, tuple):
                     anchors = AnchorSet(config.anchors)
                 else:
@@ -220,36 +223,22 @@ class Scenario:
 
     def diameter(self) -> int:
         h = self.hop_matrix()
-        finite = h[np.isfinite(h)]
-        return int(finite.max()) if len(finite) else 0
+        return int(np.max(h, where=np.isfinite(h), initial=0))
 
     @property
     def effective_depth(self) -> int:
-        if self.config.protocol in GEO_PROTOCOLS or self.vc is None:
-            return 0
-        if self.config.protocol == "gf-vcs":
-            return 0
-        return self.av.depth if self.av is not None else 0
+        if self.config.spec.coords == CoordSource.ALIGNED and self.av is not None:
+            return self.av.depth
+        return 0
 
     @property
     def coord_system(self) -> str:
-        p = self.config.protocol
-        if p == "sp":
-            return "none"
-        if p in GEO_PROTOCOLS:
-            return "geo"
-        return "avcs" if self.effective_depth > 0 else "vcs"
+        return self.config.spec.coord_system or ("avcs" if self.effective_depth > 0 else "vcs")
 
     @property
     def distance_label(self) -> str:
-        p = self.config.protocol
-        if p == "sp":
-            return "none"
-        if p in GEO_PROTOCOLS:
-            return "geo"
-        if p == "bvr":
-            return "semi"
-        return self.config.distance if self.config.distance != "geo" else "euclid"
+        spec = self.config.spec
+        return spec.distance_label or spec.distance or self.ctx.distance_kind
 
 
 @dataclass(frozen=True)
@@ -332,7 +321,12 @@ def _greedy_successors(sc: Scenario, dfield: np.ndarray, dst: int) -> np.ndarray
 
 
 def _chase(succ: np.ndarray, dst: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Memoized pointer chase: per-node (delivered?, hops to terminal)."""
+    """Memoized pointer chase: per-node (delivered?, hops to terminal).
+
+    The terminal is dst for a delivered walk and the local minimum where the
+    walk stops otherwise; hops are counted either way, because the engine
+    drops a packet for TTL before it notices a local minimum.
+    """
     ok = np.zeros(n, dtype=bool)
     hops = np.zeros(n, dtype=np.int64)
     resolved = np.zeros(n, dtype=bool)
@@ -352,16 +346,15 @@ def _chase(succ: np.ndarray, dst: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         for node in reversed(chain):
             nxt = succ[node]
             resolved[node] = True
-            if resolved[nxt] and ok[nxt]:
-                ok[node] = True
-                hops[node] = hops[nxt] + 1
+            ok[node] = ok[nxt]
+            hops[node] = hops[nxt] + 1
     return ok, hops
 
 
 def _eval_group(sc: Scenario, dst: int, srcs: np.ndarray, sp_row: np.ndarray) -> _Agg:
     """Route every src toward one dst and accumulate metrics."""
     agg = _Agg()
-    protocol = sc.config.protocol
+    spec = sc.config.spec
     t = sc.topology
     ttl = sc.ctx.ttl
     reach = np.isfinite(sp_row[srcs])
@@ -371,15 +364,15 @@ def _eval_group(sc: Scenario, dst: int, srcs: np.ndarray, sp_row: np.ndarray) ->
     if len(srcs) == 0:
         return agg
 
-    if protocol == "sp":
+    if spec.recovery == Recovery.SHORTEST_PATH:
         agg.greedy += len(srcs)
         agg.delivered += len(srcs)
         agg.sum_greedy += float(len(srcs))
         agg.sum_all += float(len(srcs))
         return agg
 
-    if protocol in ("gf-geo", "gf-vcs", "gf-avcs"):
-        dfield = sc.ctx.dfield(protocol, dst)
+    if spec.recovery == Recovery.NONE:
+        dfield = sc.ctx.dfield(sc.config.protocol, dst)
         succ = _greedy_successors(sc, dfield, dst)
         ok, hops = _chase(succ, dst, t.n)
         for src in srcs:
@@ -389,26 +382,23 @@ def _eval_group(sc: Scenario, dst: int, srcs: np.ndarray, sp_row: np.ndarray) ->
                 agg.delivered += 1
                 agg.sum_greedy += stretch
                 agg.sum_all += stretch
-            elif ok[src]:
+            elif hops[src] >= ttl:
                 agg.failures["ttl-exceeded"] += 1
             else:
                 agg.failures["local-minimum"] += 1
         return agg
 
-    # Per-pair engines.
-    if protocol in ("gpsr-gg", "gpsr-rng"):
-        method = METHOD_GG if protocol == "gpsr-gg" else METHOD_RNG
-        pg = sc.ctx.planar(method)
+    # Per-pair engines, called by this module's names so they can be traced.
+    if spec.recovery == Recovery.PERIMETER:
+        pg = sc.ctx.planar(spec.planar)
         pos = sc.ctx.geo_positions
         results = (gpsr_route(int(s), dst, pos, pg, t, ttl) for s in srcs)
-    elif protocol == "lcr":
-        dfield = sc.ctx.dfield(protocol, dst)
-        results = (lcr_route(int(s), dst, dfield, t, ttl) for s in srcs)
-    elif protocol == "bvr":
-        dfield = sc.ctx.dfield(protocol, dst)
-        results = (bvr_route(int(s), dst, dfield, sc.vc, t, ttl) for s in srcs)
-    else:  # pragma: no cover
-        raise ScenarioError(f"unhandled protocol {protocol}")
+    else:
+        dfield = sc.ctx.dfield(sc.config.protocol, dst)
+        if spec.recovery == Recovery.BACKTRACK:
+            results = (lcr_route(int(s), dst, dfield, t, ttl) for s in srcs)
+        else:
+            results = (bvr_route(int(s), dst, dfield, sc.vc, t, ttl) for s in srcs)
 
     hop_matrix = sc.hop_matrix()
     for src, rr in zip(srcs, results):
@@ -459,23 +449,15 @@ def _sampled_pairs(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
     budget = sc.config.sample
     total = n * (n - 1)
     if budget == 0 or budget >= total:
-        dsts = np.repeat(np.arange(n), n - 1)
-        return _all_srcs(n), dsts
-    rng = np.random.default_rng([sc.config.seed, _SAMPLE_SALT])
-    ks = rng.choice(total, size=budget, replace=False)
-    dsts = ks // (n - 1)
-    rem = ks % (n - 1)
-    srcs = rem + (rem >= dsts)
-    order = np.lexsort((srcs, dsts))
-    return srcs[order], dsts[order]
-
-
-def _all_srcs(n: int) -> np.ndarray:
-    base = np.arange(n)
-    out = np.empty(n * (n - 1), dtype=np.int64)
-    for d in range(n):
-        out[d * (n - 1): (d + 1) * (n - 1)] = np.delete(base, d)
-    return out
+        ks = np.arange(total, dtype=np.int64)
+    else:
+        rng = np.random.default_rng([sc.config.seed, _SAMPLE_SALT])
+        ks = np.sort(rng.choice(total, size=budget, replace=False))
+    # Pair index k = dst * (n - 1) + (rank of src among the other nodes), so
+    # ascending k is ascending (dst, src).
+    dsts, srcs = np.divmod(ks, n - 1)
+    srcs += srcs >= dsts
+    return srcs, dsts
 
 
 def evaluate(config: ScenarioConfig, workers: int = 1) -> MetricsRow:
@@ -486,12 +468,8 @@ def evaluate(config: ScenarioConfig, workers: int = 1) -> MetricsRow:
 
 def evaluate_scenario(sc: Scenario, workers: int = 1) -> MetricsRow:
     srcs, dsts = _sampled_pairs(sc)
-    groups: list[tuple[int, np.ndarray]] = []
-    start = 0
-    for i in range(1, len(dsts) + 1):
-        if i == len(dsts) or dsts[i] != dsts[start]:
-            groups.append((int(dsts[start]), srcs[start:i]))
-            start = i
+    starts = np.flatnonzero(np.diff(dsts, prepend=-1))
+    groups = list(zip(dsts[starts].tolist(), np.split(srcs, starts[1:])))
 
     hops = sc.hop_matrix()
     total = _Agg()
@@ -782,7 +760,8 @@ def fixture_abc() -> tuple[Topology, VirtualCoords]:
     for u, v in edges:
         adj[u].append(v)
 
-    positions = _layered_positions(n_nodes, adj)
+    scaffold = topology_from_adjacency(np.zeros((n_nodes, 2)), adj)
+    positions = _layered_positions(hop_counts(scaffold, ABC_A))
     t = topology_from_adjacency(positions, adj, radio_range=1.0)
     vc = build_vcs(t, AnchorSet((anchor1, anchor2, anchor3, anchor4)))
     for node, expected in ABC_VECTORS.items():
@@ -792,29 +771,11 @@ def fixture_abc() -> tuple[Topology, VirtualCoords]:
     return t, vc
 
 
-def _layered_positions(n: int, adj: list[list[int]]) -> np.ndarray:
+def _layered_positions(depth: np.ndarray) -> np.ndarray:
     """Deterministic plotting layout: x = hops from node A, y = rank in layer."""
-    sym: list[set[int]] = [set() for _ in range(n)]
-    for u, nbrs in enumerate(adj):
-        for v in nbrs:
-            sym[u].add(v)
-            sym[v].add(u)
-    from collections import deque
-
-    depth = [-1] * n
-    depth[0] = 0
-    q = deque([0])
-    while q:
-        u = q.popleft()
-        for v in sorted(sym[u]):
-            if depth[v] < 0:
-                depth[v] = depth[u] + 1
-                q.append(v)
-    counts: dict[int, int] = {}
-    pos = np.zeros((n, 2))
-    for u in range(n):
-        d = max(depth[u], 0)
-        rank = counts.get(d, 0)
-        counts[d] = rank + 1
-        pos[u] = (2.0 * d, 2.0 * rank)
+    counts: Counter = Counter()
+    pos = np.zeros((len(depth), 2))
+    for u, d in enumerate(np.maximum(depth, 0).tolist()):
+        pos[u] = (2.0 * d, 2.0 * counts[d])
+        counts[d] += 1
     return pos

@@ -1,9 +1,11 @@
-"""Routing engines and the protocol dispatcher.
+"""Routing engines, the protocol table and the dispatcher.
 
-A RoutingContext bundles everything a single scenario binds: the topology,
-the believed positions, the coordinate assignments, the configured distance,
-and the TTL.  ``route`` picks the engine for a protocol name and hands it the
-right distance field.
+``PROTOCOL_SPECS`` is the one place that says what each protocol name means:
+which coordinates its nodes compare, under which distance, what recovery runs
+at a local minimum, and how its CSV row is labelled.  A RoutingContext bundles
+everything a single scenario binds: the topology, the believed positions, the
+coordinate assignments, the configured distance, and the TTL.  ``route`` picks
+the engine from a protocol's spec and hands it the right distance field.
 """
 
 from __future__ import annotations
@@ -14,21 +16,68 @@ import numpy as np
 
 from routesim import distance as dist_mod
 from routesim.coords import AlignedCoords, VirtualCoords
-from routesim.routing.greedy import forwarding_set, fs_on_field, greedy_next_hop, greedy_route, sp_route
+from routesim.routing.greedy import greedy_next_hop, greedy_route, sp_route
 from routesim.routing.gpsr import gpsr_route
 from routesim.routing.planar import METHOD_GG, METHOD_RNG, PlanarGraph, planarize, segments_properly_cross, count_crossings
 from routesim.routing.recovery import bvr_route, lcr_route
 from routesim.routing.result import Failure, Mode, Outcome, RouteResult, finish
 from routesim.topology import Topology
 
-PROTOCOLS = ("gf-geo", "gpsr-gg", "gpsr-rng", "gf-vcs", "gf-avcs", "lcr", "bvr", "sp")
 
-GEO_PROTOCOLS = ("gf-geo", "gpsr-gg", "gpsr-rng", "sp")
-VCS_PROTOCOLS = ("gf-vcs", "gf-avcs", "lcr", "bvr")
+class CoordSource:
+    """Coordinates a protocol's nodes compare."""
+
+    GEO = "geo"            # believed positions (true or perceived)
+    VCS = "vcs"            # raw integer hop counts, whatever the alignment depth
+    ALIGNED = "aligned"    # the scenario's alignment; raw hop counts at depth 0
+
+
+class Recovery:
+    """What a protocol does at a local minimum; SHORTEST_PATH is the oracle baseline."""
+
+    NONE = "none"
+    PERIMETER = "perimeter"
+    BACKTRACK = "backtrack"
+    BEACON = "beacon"
+    SHORTEST_PATH = "shortest-path"
+
+
+@dataclass(frozen=True)
+class ProtocolSpec:
+    """Everything the simulator decides from a protocol name."""
+
+    coords: str                        # CoordSource
+    distance: str | None               # fixed distance kind; None takes the scenario's
+    recovery: str                      # Recovery
+    planar: str | None = None          # planar subgraph of perimeter recovery
+    coord_system: str | None = None    # CSV label; None: avcs when aligned, else vcs
+    distance_label: str | None = None  # CSV label; None: the distance kind in use
+
+
+PROTOCOL_SPECS = {
+    "gf-geo": ProtocolSpec(CoordSource.GEO, "geo", Recovery.NONE, coord_system="geo"),
+    "gpsr-gg": ProtocolSpec(CoordSource.GEO, "geo", Recovery.PERIMETER, METHOD_GG, coord_system="geo"),
+    "gpsr-rng": ProtocolSpec(CoordSource.GEO, "geo", Recovery.PERIMETER, METHOD_RNG, coord_system="geo"),
+    "gf-vcs": ProtocolSpec(CoordSource.VCS, None, Recovery.NONE),
+    "gf-avcs": ProtocolSpec(CoordSource.ALIGNED, None, Recovery.NONE),
+    "lcr": ProtocolSpec(CoordSource.ALIGNED, None, Recovery.BACKTRACK),
+    "bvr": ProtocolSpec(CoordSource.ALIGNED, "semi", Recovery.BEACON),
+    "sp": ProtocolSpec(CoordSource.GEO, "geo", Recovery.SHORTEST_PATH,
+                       coord_system="none", distance_label="none"),
+}
+
+PROTOCOLS = tuple(PROTOCOL_SPECS)
 
 
 class ProtocolError(ValueError):
     pass
+
+
+def _spec(protocol: str) -> ProtocolSpec:
+    spec = PROTOCOL_SPECS.get(protocol)
+    if spec is None:
+        raise ProtocolError(f"unknown protocol {protocol!r}")
+    return spec
 
 
 @dataclass
@@ -51,24 +100,6 @@ class RoutingContext:
             self._planar[method] = pg
         return pg
 
-    def local_matrix(self, protocol: str) -> np.ndarray:
-        """Coordinate rows nodes compare locally under this protocol."""
-        if protocol in GEO_PROTOCOLS:
-            return self.geo_positions
-        if self.vc is None:
-            raise ProtocolError(f"{protocol} needs virtual coordinates")
-        if protocol == "gf-vcs":
-            return self.vc.matrix.astype(float)
-        if protocol == "gf-avcs":
-            # Depth 0 is the raw integer assignment by definition.
-            if self.av is None:
-                return self.vc.matrix.astype(float)
-            return self.av.matrix
-        # Recovery protocols follow the scenario's alignment uniformly.
-        if self.av is not None:
-            return self.av.matrix
-        return self.vc.matrix.astype(float)
-
     def dfield(self, protocol: str, dst: int) -> np.ndarray:
         """Distance of every node's local coordinates to the destination's.
 
@@ -76,38 +107,43 @@ class RoutingContext:
         vector, so the right-hand side is always V(dst) there; geographic
         protocols compare believed positions.
         """
-        local = self.local_matrix(protocol)
-        if protocol in GEO_PROTOCOLS:
-            return dist_mod.planar_field(local, local[dst])
-        kind = "semi" if protocol == "bvr" else self.distance_kind
-        fn = dist_mod.field_function(kind, self.semi_weight)
-        return fn(local, self.vc.matrix[dst].astype(float))
+        spec = _spec(protocol)
+        if spec.coords == CoordSource.GEO:
+            local, target = self.geo_positions, self.geo_positions[dst]
+        elif self.vc is None:
+            raise ProtocolError(f"{protocol} needs virtual coordinates")
+        else:
+            aligned = spec.coords == CoordSource.ALIGNED and self.av is not None
+            local = self.av.matrix if aligned else self.vc.matrix.astype(float)
+            target = self.vc.matrix[dst].astype(float)
+        fn = dist_mod.field_function(spec.distance or self.distance_kind, self.semi_weight)
+        return fn(local, target)
 
 
 def route(protocol: str, src: int, dst: int, ctx: RoutingContext) -> RouteResult:
     """Dispatch one packet under the scenario's bindings."""
-    if protocol not in PROTOCOLS:
-        raise ProtocolError(f"unknown protocol {protocol!r}")
+    spec = _spec(protocol)
     t = ctx.topology
     if src == dst:
         return finish(src, dst, [src], [])
-    if protocol == "sp":
+    if spec.recovery == Recovery.SHORTEST_PATH:
         return sp_route(src, dst, t)
-    if protocol in ("gpsr-gg", "gpsr-rng"):
-        method = METHOD_GG if protocol == "gpsr-gg" else METHOD_RNG
-        return gpsr_route(src, dst, ctx.geo_positions, ctx.planar(method), t, ctx.ttl)
+    if spec.recovery == Recovery.PERIMETER:
+        return gpsr_route(src, dst, ctx.geo_positions, ctx.planar(spec.planar), t, ctx.ttl)
     dfield = ctx.dfield(protocol, dst)
-    if protocol == "lcr":
+    if spec.recovery == Recovery.BACKTRACK:
         return lcr_route(src, dst, dfield, t, ctx.ttl)
-    if protocol == "bvr":
+    if spec.recovery == Recovery.BEACON:
         return bvr_route(src, dst, dfield, ctx.vc, t, ctx.ttl)
     return greedy_route(src, dst, dfield, t, ctx.ttl)
 
 
 __all__ = [
     "PROTOCOLS",
-    "GEO_PROTOCOLS",
-    "VCS_PROTOCOLS",
+    "PROTOCOL_SPECS",
+    "ProtocolSpec",
+    "CoordSource",
+    "Recovery",
     "ProtocolError",
     "RoutingContext",
     "RouteResult",
@@ -115,8 +151,6 @@ __all__ = [
     "Outcome",
     "Failure",
     "finish",
-    "forwarding_set",
-    "fs_on_field",
     "greedy_next_hop",
     "greedy_route",
     "sp_route",

@@ -8,28 +8,11 @@ single-route calls and the harness's bulk evaluation.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
+from routesim.coords import hop_counts
 from routesim.routing.result import Failure, Mode, RouteResult, finish
 from routesim.topology import Topology
-
-
-def forwarding_set(u: int, dst_coords, coords, dfn, t: Topology) -> set[int]:
-    """Neighbors of u strictly closer to the destination than u itself.
-
-    An empty set signals a local minimum.  ``coords`` maps node id -> vector
-    (any indexable), ``dfn`` is a two-argument distance function.
-    """
-    du = dfn(coords[u], dst_coords)
-    return {v for v in t.adjacency[u] if dfn(coords[v], dst_coords) < du}
-
-
-def fs_on_field(u: int, dfield: np.ndarray, t: Topology) -> list[int]:
-    """Forwarding set against a precomputed distance field (ascending ids)."""
-    du = dfield[u]
-    return [v for v in t.adjacency[u] if dfield[v] < du]
 
 
 def greedy_next_hop(u: int, dfield: np.ndarray, t: Topology, dst: int = -1) -> int | None:
@@ -78,7 +61,7 @@ def sp_route(src: int, dst: int, t: Topology) -> RouteResult:
     """
     if src == dst:
         return finish(src, dst, [src], [])
-    dist = _bfs_from(dst, t)
+    dist = hop_counts(t, dst)
     if dist[src] < 0:
         return RouteResult(src, dst, (src,), (), "failed", None)  # cross-component
     path = [src]
@@ -93,18 +76,3 @@ def sp_route(src: int, dst: int, t: Topology) -> RouteResult:
         path.append(u)
         modes.append(Mode.GREEDY)
     return finish(src, dst, path, modes)
-
-
-def _bfs_from(root: int, t: Topology) -> np.ndarray:
-    dist = np.full(t.n, -1, dtype=np.int64)
-    dist[root] = 0
-    q = deque([root])
-    adj = t.adjacency
-    while q:
-        u = q.popleft()
-        du = dist[u]
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = du + 1
-                q.append(v)
-    return dist

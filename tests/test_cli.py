@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -128,8 +129,10 @@ def test_outputs_are_reproducible(cfg_file, tmp_path):
 
 
 def test_console_entry_point():
+    # the child process imports routesim from wherever this one does
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
-        [sys.executable, "-m", "routesim.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "routesim.cli", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "routesim" in proc.stdout

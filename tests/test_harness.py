@@ -1,5 +1,10 @@
+import itertools
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from routesim.coords import CoordsError
 from routesim.harness import (
@@ -15,10 +20,12 @@ from routesim.harness import (
     ScenarioError,
     distance_map,
     evaluate,
+    evaluate_scenario,
     fig_map_config,
     fixture_abc,
     sweep,
 )
+from routesim.routing import PROTOCOLS, Mode, Outcome, route
 from routesim.coords import check_edge_lipschitz
 from routesim.topology import VoidSpec
 
@@ -162,6 +169,9 @@ def test_scenario_config_validation():
         ScenarioConfig(loc_error=2.0)
     with pytest.raises(ScenarioError):
         ScenarioConfig(anchors="somewhere")
+    for weight in (0.0, -1.0):
+        with pytest.raises(ScenarioError):
+            ScenarioConfig(protocol="bvr", semi_weight=weight)
 
 
 def test_vcs_scenario_requires_connectivity():
@@ -199,3 +209,66 @@ def test_perceived_positions_only_affect_geo_side():
     g1 = evaluate(small_grid("gf-geo", seed=3, sample=800))
     g2 = evaluate(small_grid("gf-geo", seed=3, loc_error=0.4, sample=800))
     assert g1.csv_row() != g2.csv_row()
+
+
+def _per_pair_metrics(sc):
+    """Aggregate one routing.route call per ordered pair, as the CSV defines it."""
+    hops = sc.hop_matrix()
+    pairs = excluded = greedy = delivered = episodes = 0
+    sum_greedy = sum_all = sum_comp = 0.0
+    failures = Counter()
+    for dst, src in itertools.permutations(range(sc.topology.n), 2):
+        sp = hops[src, dst]
+        if not np.isfinite(sp):
+            excluded += 1
+            continue
+        pairs += 1
+        rr = route(sc.config.protocol, src, dst, sc.ctx)
+        if not rr.delivered:
+            failures[rr.failure_cause or "unreachable"] += 1
+            continue
+        delivered += 1
+        sum_all += rr.hops / sp
+        if rr.outcome == Outcome.DELIVERED_GREEDY:
+            greedy += 1
+            sum_greedy += rr.hops / sp
+        at = 0
+        for is_greedy, run in itertools.groupby(rr.modes, key=lambda m: m == Mode.GREEDY):
+            length = len(list(run))
+            if not is_greedy and hops[rr.path[at], rr.path[at + length]] > 0:
+                episodes += 1
+                sum_comp += length / hops[rr.path[at], rr.path[at + length]]
+            at += length
+    ratio = lambda a, b: a / b if b else math.nan
+    return dict(pairs=pairs, excluded_pairs=excluded, failures=dict(failures),
+                greedy_ratio=ratio(greedy, pairs), delivery_ratio=ratio(delivered, pairs),
+                stretch_greedy=ratio(sum_greedy, greedy), stretch_all=ratio(sum_all, delivered),
+                stretch_complementary=ratio(sum_comp, episodes))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(protocol=st.sampled_from(PROTOCOLS), n=st.integers(6, 34),
+       radio_range=st.floats(1.2, 2.6), seed=st.integers(1, 10_000),
+       ttl_factor=st.sampled_from((0.6, 1.0, 4.0)), loc_error=st.sampled_from((0.0, 0.4)),
+       align_depth=st.integers(0, 2), distance=st.sampled_from(("euclid", "manhattan", "semi")))
+@example(protocol="gf-geo", n=34, radio_range=1.375, seed=1, ttl_factor=0.6, loc_error=0.0,
+         align_depth=0, distance="euclid")
+def test_bulk_evaluation_matches_per_pair_routes(protocol, n, radio_range, seed, ttl_factor,
+                                                 loc_error, align_depth, distance):
+    cfg = ScenarioConfig(deployment="random", n=n, width=6.0, height=6.0,
+                         radio_range=radio_range, protocol=protocol, seed=seed,
+                         ttl_factor=ttl_factor, loc_error=loc_error,
+                         align_depth=align_depth, distance=distance)
+    try:
+        sc = Scenario.build(cfg)
+    except CoordsError:  # virtual coordinates need a connected graph
+        assume(False)
+    row = evaluate_scenario(sc)
+    expected = _per_pair_metrics(sc)
+    got = {k: getattr(row, k) for k in expected}
+    got["failures"] = dict(row.failures)
+    for key in ("pairs", "excluded_pairs", "failures"):
+        assert got[key] == expected[key], key
+    for key in ("greedy_ratio", "delivery_ratio", "stretch_greedy", "stretch_all",
+                "stretch_complementary"):
+        assert got[key] == pytest.approx(expected[key], rel=1e-9, nan_ok=True), key
