@@ -62,9 +62,6 @@ class VirtualCoords:
     def dims(self) -> int:
         return self.matrix.shape[1]
 
-    def vector(self, node: int) -> np.ndarray:
-        return self.matrix[node]
-
 
 @dataclass(frozen=True)
 class AlignedCoords:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable
 
 import numpy as np
@@ -44,6 +44,7 @@ from routesim.routing import (
     gpsr_route,
     lcr_route,
 )
+from routesim.routing.greedy import greedy_successors, greedy_walks
 from routesim.topology import (
     PerceivedPositions,
     Topology,
@@ -241,9 +242,20 @@ class Scenario:
         return spec.distance_label or spec.distance or self.ctx.distance_kind
 
 
-@dataclass(frozen=True)
+# MetricsRow's real-valued fields; NaN marks an undefined metric.
+_REAL_FIELDS = (
+    "mean_degree", "greedy_ratio", "delivery_ratio",
+    "stretch_greedy", "stretch_all", "stretch_complementary",
+)
+
+
+@dataclass(frozen=True, eq=False)
 class MetricsRow:
-    """Aggregated outcome of one scenario evaluation."""
+    """Aggregated outcome of one scenario evaluation.
+
+    Real-valued fields hold Python floats.  Rows compare equal when every
+    field does, with undefined (NaN) metrics equal to each other.
+    """
 
     scenario_id: str
     protocol: str
@@ -259,6 +271,22 @@ class MetricsRow:
     stretch_complementary: float
     excluded_pairs: int = 0
     failures: tuple[tuple[str, int], ...] = ()
+
+    def __post_init__(self):
+        for name in _REAL_FIELDS:
+            object.__setattr__(self, name, float(getattr(self, name)))
+
+    def _key(self) -> tuple:
+        return tuple(
+            None if isinstance(v, float) and math.isnan(v) else v
+            for v in (getattr(self, f.name) for f in fields(self))
+        )
+
+    def __eq__(self, other):
+        return isinstance(other, MetricsRow) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def csv_row(self) -> str:
         return (
@@ -300,57 +328,6 @@ class _Agg:
         self.failures.update(other.failures)
 
 
-def _greedy_successors(sc: Scenario, dfield: np.ndarray, dst: int) -> np.ndarray:
-    """Per-node greedy next hop toward dst (-1 at a local minimum).
-
-    Neighbor ids ascend within each row, so argmin's first-occurrence rule
-    matches the engines' lowest-id tie-break exactly.  Nodes adjacent to the
-    destination hand the packet over directly, mirroring greedy_next_hop.
-    """
-    t = sc.topology
-    ids, mask = t.neighbor_matrix()
-    vals = np.where(mask, dfield[ids], np.inf)
-    am = np.argmin(vals, axis=1)
-    rows = np.arange(t.n)
-    best_v = vals[rows, am]
-    succ = np.where(best_v < dfield, ids[rows, am], -1)
-    if t.adjacency[dst]:
-        succ[np.array(t.adjacency[dst], dtype=np.int64)] = dst
-    succ[dst] = dst
-    return succ
-
-
-def _chase(succ: np.ndarray, dst: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Memoized pointer chase: per-node (delivered?, hops to terminal).
-
-    The terminal is dst for a delivered walk and the local minimum where the
-    walk stops otherwise; hops are counted either way, because the engine
-    drops a packet for TTL before it notices a local minimum.
-    """
-    ok = np.zeros(n, dtype=bool)
-    hops = np.zeros(n, dtype=np.int64)
-    resolved = np.zeros(n, dtype=bool)
-    ok[dst] = True
-    resolved[dst] = True
-    for start in range(n):
-        u = start
-        chain = []
-        while not resolved[u]:
-            chain.append(u)
-            nxt = succ[u]
-            if nxt < 0:
-                resolved[u] = True  # local minimum: ok stays False
-                chain.pop()
-                break
-            u = nxt
-        for node in reversed(chain):
-            nxt = succ[node]
-            resolved[node] = True
-            ok[node] = ok[nxt]
-            hops[node] = hops[nxt] + 1
-    return ok, hops
-
-
 def _eval_group(sc: Scenario, dst: int, srcs: np.ndarray, sp_row: np.ndarray) -> _Agg:
     """Route every src toward one dst and accumulate metrics."""
     agg = _Agg()
@@ -373,8 +350,7 @@ def _eval_group(sc: Scenario, dst: int, srcs: np.ndarray, sp_row: np.ndarray) ->
 
     if spec.recovery == Recovery.NONE:
         dfield = sc.ctx.dfield(sc.config.protocol, dst)
-        succ = _greedy_successors(sc, dfield, dst)
-        ok, hops = _chase(succ, dst, t.n)
+        ok, hops = greedy_walks(greedy_successors(dfield, t, dst), dst)
         for src in srcs:
             if ok[src] and hops[src] <= ttl:
                 stretch = hops[src] / sp_row[src]
@@ -599,12 +575,6 @@ def sweep(
     return rows, errors
 
 
-_SUMMARY_FIELDS = (
-    "mean_degree", "greedy_ratio", "delivery_ratio",
-    "stretch_greedy", "stretch_all", "stretch_complementary",
-)
-
-
 def _nanmean(a: np.ndarray) -> float:
     a = a[~np.isnan(a)]
     return float(a.mean()) if len(a) else float("nan")
@@ -613,7 +583,7 @@ def _nanmean(a: np.ndarray) -> float:
 def _seed_summary(rows: list[MetricsRow]) -> list[MetricsRow]:
     out = []
     for tag, fn in (("mean", _nanmean), ("std", _nanstd)):
-        vals = {f: fn(np.array([getattr(r, f) for r in rows], dtype=float)) for f in _SUMMARY_FIELDS}
+        vals = {f: fn(np.array([getattr(r, f) for r in rows], dtype=float)) for f in _REAL_FIELDS}
         first = rows[0]
         out.append(
             MetricsRow(
@@ -666,8 +636,8 @@ def distance_map(config: ScenarioConfig, dst: int) -> DistanceMap:
     if not 0 <= dst < sc.topology.n:
         raise ScenarioError(f"destination {dst} does not exist")
     dfield = sc.ctx.dfield(config.protocol, dst)
-    succ = _greedy_successors(sc, dfield, dst)
-    minima = tuple(int(u) for u in np.nonzero(succ < 0)[0] if u != dst)
+    succ = greedy_successors(dfield, sc.topology, dst)
+    minima = tuple(int(u) for u in np.flatnonzero(succ == np.arange(len(succ))) if u != dst)
     shown = dfield.copy()
     shown[dst] = 0.0
     return DistanceMap(

@@ -1,16 +1,16 @@
 """Greedy-plus-perimeter routing over a planarized graph.
 
 Greedy progress is measured on planar Euclidean distance over the full
-topology.  At a local minimum the packet enters perimeter mode and walks
-faces of the planar subgraph by the right-hand rule: arriving at a node, the
-next edge is the first one counterclockwise from the edge it arrived on (from
-the direct line to the destination on entry).  The walk changes faces when
-the edge about to be traversed properly crosses the segment from the entry
-point to the destination at a point closer to the destination than the
-current face's entry crossing.  Perimeter mode ends at the first node
-strictly closer to the destination than the entry point; repeating the first
-edge of the current face means the walk has gone all the way around, and the
-packet is dropped.
+topology, by ``greedy_route``.  At each local minimum it hands the packet to
+one perimeter episode, which walks faces of the planar subgraph by the
+right-hand rule: arriving at a node, the next edge is the first one
+counterclockwise from the edge it arrived on (from the direct line to the
+destination on entry).  The walk changes faces when the edge about to be
+traversed properly crosses the segment from the entry point to the
+destination at a point closer to the destination than the current face's
+entry crossing.  Perimeter mode ends at the first node strictly closer to the
+destination than the entry point; repeating the first edge of the current
+face means the walk has gone all the way around, and the packet is dropped.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import math
 import numpy as np
 
 from routesim.distance import planar_field
-from routesim.routing.greedy import greedy_next_hop
+from routesim.routing.greedy import greedy_route
 from routesim.routing.planar import PlanarGraph, crossing_point
-from routesim.routing.result import Failure, Mode, RouteResult, finish
+from routesim.routing.result import Failure, Mode, RouteResult
 from routesim.topology import Topology
 
 
@@ -114,19 +114,7 @@ def gpsr_route(
     """Greedy forwarding with perimeter-mode recovery on the planar subgraph."""
     pos = np.asarray(positions, dtype=float)
     dfield = planar_field(pos, pos[dst])
-    path = [src]
-    modes: list[str] = []
-    u = src
-    while u != dst:
-        nxt = greedy_next_hop(u, dfield, t, dst)
-        if nxt is not None:
-            if len(modes) >= ttl:
-                return finish(src, dst, path, modes, Failure.TTL_EXCEEDED)
-            path.append(nxt)
-            modes.append(Mode.GREEDY)
-            u = nxt
-            continue
-        u, failure = _perimeter_episode(u, dst, pos, pg, dfield, path, modes, ttl)
-        if failure is not None:
-            return finish(src, dst, path, modes, failure)
-    return finish(src, dst, path, modes)
+    return greedy_route(
+        src, dst, dfield, t, ttl,
+        lambda u, path, modes: _perimeter_episode(u, dst, pos, pg, dfield, path, modes, ttl),
+    )

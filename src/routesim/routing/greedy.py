@@ -1,18 +1,30 @@
-"""Greedy forwarding and the shortest-path baseline.
+"""Greedy forwarding, per pair and in bulk, and the shortest-path baseline.
 
 Engines operate on a precomputed distance field: ``dfield[u]`` is the
 distance from u's coordinates to the destination's coordinate vector.  Using
 one shared field keeps tie-breaking and float behavior identical between
 single-route calls and the harness's bulk evaluation.
+
+The greedy rule has two forms here.  ``greedy_route`` forwards one packet and
+hands every local minimum to an optional recovery episode; the protocols with
+recovery (perimeter mode, beacon fallback) are this loop plus their episode.
+``greedy_successors`` and ``greedy_walks`` apply the same rule to every node
+at once for bulk evaluation of the protocols without recovery.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
 from routesim.coords import hop_counts
 from routesim.routing.result import Failure, Mode, RouteResult, finish
 from routesim.topology import Topology
+
+# recover(local minimum, path, modes) -> (resume node, failure or None); it
+# appends its own hops to path and modes and enforces the TTL on them.
+Recover = Callable[[int, list[int], list[str]], tuple[int, str | None]]
 
 
 def greedy_next_hop(u: int, dfield: np.ndarray, t: Topology, dst: int = -1) -> int | None:
@@ -36,21 +48,72 @@ def greedy_next_hop(u: int, dfield: np.ndarray, t: Topology, dst: int = -1) -> i
     return best if best >= 0 else None
 
 
-def greedy_route(src: int, dst: int, dfield: np.ndarray, t: Topology, ttl: int) -> RouteResult:
-    """Pure greedy forwarding; fails on an empty forwarding set or TTL expiry."""
+def greedy_route(src: int, dst: int, dfield: np.ndarray, t: Topology, ttl: int,
+                 recover: Recover | None = None) -> RouteResult:
+    """Greedy forwarding with one recovery episode per local minimum.
+
+    The next hop is asked for first; the TTL is checked before each greedy
+    hop, and the episode checks it before each of its own.  Without
+    ``recover`` a local minimum ends the route: as ttl-exceeded when the TTL
+    is already spent, else as local-minimum.
+    """
     path = [src]
     modes: list[str] = []
     u = src
     while u != dst:
-        if len(modes) >= ttl:
-            return finish(src, dst, path, modes, Failure.TTL_EXCEEDED)
         nxt = greedy_next_hop(u, dfield, t, dst)
         if nxt is None:
-            return finish(src, dst, path, modes, Failure.LOCAL_MINIMUM)
+            if recover is not None:
+                u, failure = recover(u, path, modes)
+            elif len(modes) >= ttl:
+                failure = Failure.TTL_EXCEEDED
+            else:
+                failure = Failure.LOCAL_MINIMUM
+            if failure is not None:
+                return finish(src, dst, path, modes, failure)
+            continue
+        if len(modes) >= ttl:
+            return finish(src, dst, path, modes, Failure.TTL_EXCEEDED)
         path.append(nxt)
         modes.append(Mode.GREEDY)
         u = nxt
     return finish(src, dst, path, modes)
+
+
+def greedy_successors(dfield: np.ndarray, t: Topology, dst: int) -> np.ndarray:
+    """Every node's greedy next hop toward dst; local minima and dst point to themselves.
+
+    Neighbor ids ascend within each row, so argmin's first-occurrence rule
+    matches greedy_next_hop's lowest-id tie-break exactly.  Nodes adjacent to
+    the destination hand the packet over directly, as greedy_next_hop does.
+    """
+    ids, mask = t.neighbor_matrix()
+    vals = np.where(mask, dfield[ids], np.inf)
+    am = np.argmin(vals, axis=1)
+    rows = np.arange(t.n)
+    succ = np.where(vals[rows, am] < dfield, ids[rows, am], rows)
+    succ[list(t.adjacency[dst])] = dst
+    succ[dst] = dst
+    return succ
+
+
+def greedy_walks(succ: np.ndarray, dst: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node (delivered?, hops to where the walk stops), by pointer jumping.
+
+    Each round doubles how far every pointer reaches (Wyllie 1979).  Greedy
+    successors strictly descend the distance field or hand over to dst, so
+    the forest has no cycles and the loop ends within ceil(log2 n) rounds.
+    Hops to a local minimum are counted too: a walk that reaches its minimum
+    after >= TTL hops fails as ttl-exceeded, as in greedy_route.
+    """
+    nxt = succ
+    hops = (succ != np.arange(len(succ))).astype(np.int64)
+    while True:
+        jumped = nxt[nxt]
+        if np.array_equal(jumped, nxt):
+            return nxt == dst, hops
+        hops += hops[nxt]
+        nxt = jumped
 
 
 def sp_route(src: int, dst: int, t: Topology) -> RouteResult:
@@ -59,8 +122,6 @@ def sp_route(src: int, dst: int, t: Topology) -> RouteResult:
     Path reconstruction walks from src toward dst picking, at each step, the
     lowest-id neighbor one hop closer to dst, so the result is deterministic.
     """
-    if src == dst:
-        return finish(src, dst, [src], [])
     dist = hop_counts(t, dst)
     if dist[src] < 0:
         return RouteResult(src, dst, (src,), (), "failed", None)  # cross-component

@@ -26,11 +26,6 @@ class PlanarGraph:
 
     adjacency: tuple[tuple[int, ...], ...]
     method: str
-    perceived: bool  # True when built from perceived rather than true positions
-
-    @property
-    def n(self) -> int:
-        return len(self.adjacency)
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v]
@@ -64,7 +59,7 @@ def planarize(t: Topology, positions: np.ndarray, method: str) -> PlanarGraph:
             if ok:
                 keep[u].append(v)
                 keep[v].append(u)
-    return PlanarGraph(tuple(tuple(sorted(k)) for k in keep), method, perceived=False)
+    return PlanarGraph(tuple(tuple(sorted(k)) for k in keep), method)
 
 
 def _orient(a, b, c) -> float:

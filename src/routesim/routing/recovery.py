@@ -3,9 +3,9 @@
 Both protocols run plain greedy forwarding while it makes progress and
 recover differently when it stalls: the backtracking engine turns the route
 into an ordered depth-first search with a per-packet visited set; the beacon
-engine walks up the hop-count tree of the anchor the destination is closest
-to and, failing greedy resumption, delivers through a scoped flood from that
-anchor.
+engine is ``greedy_route`` with an episode that walks up the hop-count tree
+of the anchor the destination is closest to and, failing greedy resumption,
+delivers through a scoped flood from that anchor.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from routesim.coords import VirtualCoords
-from routesim.routing.greedy import greedy_next_hop
+from routesim.routing.greedy import greedy_route
 from routesim.routing.result import Failure, Mode, RouteResult, finish
 from routesim.topology import Topology
 
@@ -27,8 +27,6 @@ def lcr_route(src: int, dst: int, dfield: np.ndarray, t: Topology, ttl: int) -> 
     to the previous hop.  Exhausting the stack means the destination is
     unreachable from the explored region.
     """
-    if src == dst:
-        return finish(src, dst, [src], [])
     visited = {src}
     stack = [src]
     path = [src]
@@ -73,6 +71,30 @@ def _tree_parent(u: int, col: np.ndarray, t: Topology) -> int:
     raise RuntimeError("hop-count column is not a BFS layering")  # pragma: no cover
 
 
+def _beacon_episode(u: int, dst: int, dfield: np.ndarray, col: np.ndarray, anchor: int,
+                    t: Topology, path: list[int], modes: list[str], ttl: int) -> tuple[int, str | None]:
+    """Climb toward the anchor, then flood; returns (resume node, failure or None)."""
+    entry_d = dfield[u]
+    while u != anchor:
+        if len(modes) >= ttl:
+            return u, Failure.TTL_EXCEEDED
+        u = _tree_parent(u, col, t)
+        path.append(u)
+        modes.append(Mode.FALLBACK)
+        if u == dst or dfield[u] < entry_d:
+            return u, None
+    # Scoped flood: deliver along the anchor->dst tree path.
+    chain = [dst]
+    while chain[-1] != anchor:
+        chain.append(_tree_parent(chain[-1], col, t))
+    for node in reversed(chain[:-1]):
+        if len(modes) >= ttl:
+            return path[-1], Failure.TTL_EXCEEDED
+        path.append(node)
+        modes.append(Mode.FLOOD)
+    return dst, None
+
+
 def bvr_route(
     src: int,
     dst: int,
@@ -90,42 +112,10 @@ def bvr_route(
     the destination; its cost is charged as the anchor-to-destination
     shortest path, the path the delivered copy takes.
     """
-    if src == dst:
-        return finish(src, dst, [src], [])
     k = int(np.argmin(vc.matrix[dst]))  # ties to the lowest anchor index
     anchor = vc.anchors.ids[k]
     col = vc.matrix[:, k]
-    path = [src]
-    modes: list[str] = []
-    u = src
-    while u != dst:
-        nxt = greedy_next_hop(u, dfield, t, dst)
-        if nxt is not None:
-            if len(modes) >= ttl:
-                return finish(src, dst, path, modes, Failure.TTL_EXCEEDED)
-            path.append(nxt)
-            modes.append(Mode.GREEDY)
-            u = nxt
-            continue
-        # Beacon fallback from the local minimum.
-        entry_d = dfield[u]
-        while u != anchor:
-            if len(modes) >= ttl:
-                return finish(src, dst, path, modes, Failure.TTL_EXCEEDED)
-            u = _tree_parent(u, col, t)
-            path.append(u)
-            modes.append(Mode.FALLBACK)
-            if u == dst or dfield[u] < entry_d:
-                break
-        else:
-            # Scoped flood: deliver along the anchor->dst tree path.
-            chain = [dst]
-            while chain[-1] != anchor:
-                chain.append(_tree_parent(chain[-1], col, t))
-            for node in reversed(chain[:-1]):
-                if len(modes) >= ttl:
-                    return finish(src, dst, path, modes, Failure.TTL_EXCEEDED)
-                path.append(node)
-                modes.append(Mode.FLOOD)
-            u = dst
-    return finish(src, dst, path, modes)
+    return greedy_route(
+        src, dst, dfield, t, ttl,
+        lambda u, path, modes: _beacon_episode(u, dst, dfield, col, anchor, t, path, modes, ttl),
+    )

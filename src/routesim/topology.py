@@ -88,15 +88,12 @@ class VoidSpec:
 class Topology:
     """Unit-disk connectivity over a deployment.
 
-    ``adjacency[u]`` is the sorted tuple of u's neighbor ids.  ``geometric``
-    is False for hand-built topologies (regression fixtures) whose adjacency
-    was supplied explicitly rather than derived from positions.
+    ``adjacency[u]`` is the sorted tuple of u's neighbor ids.
     """
 
     deployment: Deployment
     radio_range: float
     adjacency: tuple[tuple[int, ...], ...]
-    geometric: bool = True
 
     @property
     def n(self) -> int:
@@ -118,15 +115,7 @@ class Topology:
 
     @property
     def connected(self) -> bool:
-        return self.component_count == 1
-
-    @property
-    def component_count(self) -> int:
-        return int(connected_components(self.sparse(), directed=False, return_labels=False))
-
-    def component_labels(self) -> np.ndarray:
-        _, labels = connected_components(self.sparse(), directed=False, return_labels=True)
-        return labels
+        return connected_components(self.sparse(), directed=False, return_labels=False) == 1
 
     def sparse(self) -> csr_matrix:
         """Adjacency as a scipy CSR matrix (cached)."""
@@ -214,14 +203,14 @@ def build_udg(d: Deployment, radio_range: float) -> Topology:
         raise TopologyError("radio range must be positive")
     tree = cKDTree(d.positions)
     pairs = tree.query_pairs(radio_range, output_type="ndarray")
+    # query_pairs returns every pair with dist <= r, coincident nodes included;
+    # the unit-disk rule links only nodes at positive distance.
+    pos = d.positions
+    pairs = pairs[(pos[pairs[:, 0]] != pos[pairs[:, 1]]).any(axis=1)]
     adj: list[list[int]] = [[] for _ in range(d.n)]
-    for u, v in pairs:
-        # query_pairs uses strict upper bound on nothing: it returns pairs with
-        # dist <= r, excluding identical indices; coincident nodes (dist 0)
-        # must not be linked per the unit-disk rule.
-        if not np.array_equal(d.positions[u], d.positions[v]):
-            adj[int(u)].append(int(v))
-            adj[int(v)].append(int(u))
+    for u, v in pairs.tolist():
+        adj[u].append(v)
+        adj[v].append(u)
     adjacency = tuple(tuple(sorted(a)) for a in adj)
     return Topology(deployment=d, radio_range=radio_range, adjacency=adjacency)
 
@@ -237,7 +226,7 @@ def topology_from_adjacency(
 
     Used by regression fixtures whose connectivity is specified combinatorially;
     the stored positions are for bookkeeping/plotting only and make no
-    unit-disk claim (``geometric`` is False).
+    unit-disk claim.
     """
     pos = np.asarray(positions, dtype=float)
     w = float(pos[:, 0].max()) + 1.0 if width is None else width
@@ -252,7 +241,7 @@ def topology_from_adjacency(
             sym[u].add(v)
             sym[v].add(u)
     adj = tuple(tuple(sorted(s)) for s in sym)
-    return Topology(deployment=dep, radio_range=radio_range, adjacency=adj, geometric=False)
+    return Topology(deployment=dep, radio_range=radio_range, adjacency=adj)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,23 @@
 import numpy as np
 
 from routesim.harness import Scenario, ScenarioConfig, evaluate
-from routesim.routing import METHOD_GG, Mode, Outcome, gpsr_route, planarize, sp_route
-from routesim.topology import Deployment, VoidSpec, build_udg, generate_random
+from routesim.routing import (
+    METHOD_GG,
+    Failure,
+    Mode,
+    Outcome,
+    PlanarGraph,
+    gpsr_route,
+    planarize,
+    sp_route,
+)
+from routesim.topology import (
+    Deployment,
+    VoidSpec,
+    build_udg,
+    generate_random,
+    topology_from_adjacency,
+)
 
 
 def u_shape_topology():
@@ -25,6 +40,20 @@ def test_gpsr_self_route():
     pg = planarize(t, t.positions, METHOD_GG)
     rr = gpsr_route(src, src, t.positions, pg, t, 100)
     assert rr.outcome == Outcome.DELIVERED_GREEDY and rr.hops == 0
+
+
+def test_gpsr_local_minimum_without_planar_neighbor_outranks_spent_ttl():
+    # 0 forwards greedily to 1, whose only neighbor is 0: a local minimum.
+    # The planar subgraph dropped edge 0-1 (as planarizing perceived
+    # positions can), so 1 has no face to walk.  That is reported as a local
+    # minimum even when the one hop taken has already spent the TTL.
+    pos = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [1.0, 1.5]])
+    t = topology_from_adjacency(pos, [[1, 3], [], [3], []])
+    pg = PlanarGraph(((3,), (), (3,), (0, 2)), METHOD_GG)
+    for ttl in (1, 100):
+        rr = gpsr_route(0, 2, t.positions, pg, t, ttl)
+        assert rr.path == (0, 1)
+        assert rr.failure_cause == Failure.LOCAL_MINIMUM
 
 
 def test_gpsr_recovers_from_cul_de_sac():

@@ -41,6 +41,14 @@ def test_evaluate_deterministic_bytes():
     r2 = evaluate(cfg)
     assert r1.csv_row() == r2.csv_row()
     assert r1.failures == r2.failures and r1.excluded_pairs == r2.excluded_pairs
+    # rows of one config are equal, NaN stretches included, and hash alike
+    assert math.isnan(r1.stretch_complementary)
+    assert r1 == r2 and hash(r1) == hash(r2)
+    assert r1 != evaluate(small_grid("gf-vcs", sample=300, seed=6))
+    for row in (r1, evaluate(small_grid("lcr"))):
+        for name in ("mean_degree", "greedy_ratio", "delivery_ratio",
+                     "stretch_greedy", "stretch_all", "stretch_complementary"):
+            assert type(getattr(row, name)) is float, name
 
 
 def test_sample_budget_equal_to_total_matches_full():

@@ -1,16 +1,9 @@
+from collections import Counter
+
 import numpy as np
 
 from routesim import distance as dm
-from routesim.harness import (
-    ABC_A,
-    ABC_B,
-    ABC_C,
-    Scenario,
-    ScenarioConfig,
-    _chase,
-    _greedy_successors,
-    fixture_abc,
-)
+from routesim.harness import ABC_A, ABC_B, ABC_C, Scenario, ScenarioConfig, fixture_abc
 from routesim.routing import (
     Failure,
     Outcome,
@@ -18,7 +11,14 @@ from routesim.routing import (
     greedy_route,
     sp_route,
 )
-from routesim.topology import build_udg, generate_grid, generate_random, topology_from_adjacency
+from routesim.routing.greedy import greedy_successors, greedy_walks
+from routesim.topology import (
+    VoidSpec,
+    build_udg,
+    generate_grid,
+    generate_random,
+    topology_from_adjacency,
+)
 
 
 def test_trivial_self_route():
@@ -101,23 +101,40 @@ def test_greedy_monotone_and_no_revisit():
 
 
 def test_engine_matches_vectorized_successors():
-    cfg = ScenarioConfig(deployment="random", n=120, width=10, height=10,
-                         radio_range=1.6, protocol="gf-vcs", seed=9)
-    sc = Scenario.build(cfg)
-    t = sc.topology
-    rng = np.random.default_rng(1)
-    for dst in rng.integers(0, t.n, 15):
-        dst = int(dst)
-        dfield = sc.ctx.dfield("gf-vcs", dst)
-        succ = _greedy_successors(sc, dfield, dst)
-        ok, hops = _chase(succ, dst, t.n)
-        for src in rng.integers(0, t.n, 40):
-            src = int(src)
-            if src == dst:
-                continue
-            rr = greedy_route(src, dst, dfield, t, sc.ctx.ttl)
-            assert rr.delivered == bool(ok[src])
-            assert rr.hops == hops[src]  # to dst or to the local minimum
+    short = ScenarioConfig(deployment="random", n=120, width=10, height=10,
+                           radio_range=1.6, protocol="gf-vcs", seed=9)
+    # A long thin strip with two voids: walks of over a hundred hops, local
+    # minima at the voids, and a TTL below the diameter that cuts walks off.
+    long = ScenarioConfig(deployment="grid", rows=4, cols=200, radio_range=1.5,
+                          voids=(VoidSpec("disc", (60.0, 2.5), radius=1.6),
+                                 VoidSpec("disc", (140.0, 0.5), radius=1.6)),
+                          protocol="gf-geo", ttl_factor=0.6)
+    seen = Counter()
+    for cfg in (short, long):
+        sc = Scenario.build(cfg)
+        t = sc.topology
+        ttl = sc.ctx.ttl
+        rng = np.random.default_rng(1)
+        for dst in rng.integers(0, t.n, 15):
+            dst = int(dst)
+            dfield = sc.ctx.dfield(cfg.protocol, dst)
+            ok, hops = greedy_walks(greedy_successors(dfield, t, dst), dst)
+            for src in rng.integers(0, t.n, 40):
+                src = int(src)
+                if src == dst:
+                    continue
+                rr = greedy_route(src, dst, dfield, t, ttl)
+                delivered = bool(ok[src]) and hops[src] <= ttl
+                assert rr.delivered == delivered
+                # hops to dst or to the local minimum, cut off at the TTL
+                assert rr.hops == min(hops[src], ttl)
+                if not delivered:
+                    timed_out = hops[src] >= ttl
+                    assert rr.failure_cause == (
+                        Failure.TTL_EXCEEDED if timed_out else Failure.LOCAL_MINIMUM)
+                    seen["ttl" if timed_out else "minimum"] += 1
+                seen["long"] += int(hops[src] > 64)
+    assert min(seen["ttl"], seen["minimum"], seen["long"]) > 0
 
 
 def test_sp_route_basics():

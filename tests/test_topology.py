@@ -107,6 +107,13 @@ def test_udg_boundary_inclusive_exclusive():
     assert t2.adjacency == ((), ())
 
 
+def test_udg_does_not_link_coincident_nodes():
+    # 0 and 1 share a position; both are in range of 2, not of each other
+    d = Deployment(np.array([[0.5, 0.5], [0.5, 0.5], [1.3, 0.5]]), width=2.0, height=1.0)
+    t = build_udg(d, 1.0)
+    assert t.adjacency == ((2,), (2,), (0, 1))
+
+
 def test_udg_mean_degree_50x50_four_connected():
     t = build_udg(generate_grid(50, 50, 1.0), 1.2)
     assert t.mean_degree == pytest.approx(3.92)
