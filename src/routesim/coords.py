@@ -9,10 +9,10 @@ depth d depends only on depth-0 values within d hops.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from routesim.topology import PerceivedPositions, Topology, _freeze
 
@@ -84,38 +84,155 @@ class AlignedCoords:
         return self.matrix.shape[1]
 
 
+# Roots per bit-parallel pass: eight uint64 words per node.
+_ROOT_CHUNK = 512
+
+
+def pair_hops(t: Topology, srcs, dsts) -> np.ndarray:
+    """Hop distance of every (srcs[i], dsts[i]) pair; inf across components.
+
+    Bit-parallel breadth-first search, one bit per root (the bit-parallel
+    labels of Akiba, Iwata & Yoshida, SIGMOD 2013).  The distinct ``dsts`` are
+    the roots, ``_ROOT_CHUNK`` per pass; frontier and visited sets are
+    (n, words) uint64 bitsets.  Distances are kept bit-sliced: plane b holds
+    bit b of the level at which a root's search first reached a node.  Only
+    the requested (src, root) bits are read back.
+    """
+    srcs = np.asarray(srcs, dtype=np.int64)
+    dsts = np.asarray(dsts, dtype=np.int64)
+    out = np.full(len(srcs), np.inf)
+    if len(srcs) == 0:
+        return out
+    roots = np.flatnonzero(np.bincount(dsts, minlength=t.n))
+    slot = np.zeros(t.n, dtype=np.int64)
+    slot[roots] = np.arange(len(roots))
+    for lo in range(0, len(roots), _ROOT_CHUNK):
+        chunk = roots[lo:lo + _ROOT_CHUNK]
+        mine = np.flatnonzero((dsts >= chunk[0]) & (dsts <= chunk[-1]))
+        col = slot[dsts[mine]] - lo
+        word, bit = col >> 6, (col & 63).astype(np.uint64)
+        s = srcs[mine]
+        visited, planes = _bit_bfs(t, chunk)
+        hops = np.zeros(len(mine), dtype=np.uint64)
+        for b, plane in enumerate(planes):
+            hops |= ((plane[s, word] >> bit) & 1) << np.uint64(b)
+        reached = ((visited[s, word] >> bit) & 1).astype(bool)
+        out[mine] = np.where(reached, hops, np.inf)
+    return out
+
+
+def _bit_bfs(t: Topology, roots: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(visited bitset, bit planes of each node's level) of one pass of roots.
+
+    One level ORs, for each node, its neighbors' frontier rows over the CSR
+    adjacency.  While the frontier's edges are a small share of all edges,
+    only the rows next to the frontier are reduced (the top-down half of
+    direction-optimizing search, Beamer et al., SC 2012).
+    """
+    csr = t.sparse()
+    indptr, indices = csr.indptr, csr.indices
+    degree = np.diff(indptr)
+    # reduceat returns the start element, not zero, for an empty segment, so
+    # only rows with at least one neighbor are reduced.
+    rows = np.flatnonzero(degree)
+    starts = indptr[rows]
+    j = np.arange(len(roots))
+    frontier = np.zeros((t.n, (len(roots) + 63) // 64), dtype=np.uint64)
+    frontier[roots, j >> 6] = np.uint64(1) << (j & 63).astype(np.uint64)
+    visited = frontier.copy()
+    planes: list[np.ndarray] = []
+    level = 0
+    while len(rows):
+        active = np.flatnonzero(frontier.any(axis=1))
+        if 4 * degree[active].sum() < len(indices):
+            near = np.zeros(t.n, dtype=bool)
+            near[indices[_edge_ids(indptr, active)]] = True
+            sub = np.flatnonzero(near)
+            gathered = frontier[indices[_edge_ids(indptr, sub)]]
+            sub_starts = np.cumsum(degree[sub]) - degree[sub]
+        else:
+            sub, gathered, sub_starts = rows, frontier[indices], starts
+        reached = np.zeros_like(frontier)
+        reached[sub] = np.bitwise_or.reduceat(gathered, sub_starts, axis=0)
+        frontier = reached & ~visited
+        if not frontier.any():
+            break
+        visited |= frontier
+        level += 1
+        if level >> len(planes):
+            planes.append(np.zeros_like(frontier))
+        for b, plane in enumerate(planes):
+            if level >> b & 1:
+                plane |= frontier
+    return visited, planes
+
+
+def _edge_ids(indptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Positions in the CSR index array of every edge of ``nodes``, node by node."""
+    counts = indptr[nodes + 1] - indptr[nodes]
+    return np.repeat(indptr[nodes] - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+
+
 def hop_counts(t: Topology, anchor: int) -> np.ndarray:
     """Breadth-first hop distance from ``anchor`` to every node.
 
     Unreachable nodes are marked -1; scenarios that rely on virtual
     coordinates must treat any -1 as a configuration error.
     """
-    if not 0 <= anchor < t.n:
-        raise CoordsError(f"anchor {anchor} does not exist")
-    dist = np.full(t.n, -1, dtype=np.int64)
-    dist[anchor] = 0
-    q = deque([anchor])
-    adj = t.adjacency
-    while q:
-        u = q.popleft()
-        du = dist[u]
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = du + 1
-                q.append(v)
-    return dist
+    return _hop_rows(t, (anchor,))[0]
+
+
+def _hop_rows(t: Topology, anchors: tuple[int, ...]) -> np.ndarray:
+    """(len(anchors), n) int64 hop counts from each anchor, -1 where unreachable."""
+    for a in anchors:
+        if not 0 <= a < t.n:
+            raise CoordsError(f"anchor {a} does not exist")
+    nodes = np.arange(t.n)
+    h = pair_hops(t, np.tile(nodes, len(anchors)), np.repeat(anchors, t.n))
+    return np.where(np.isfinite(h), h, -1).astype(np.int64).reshape(len(anchors), t.n)
+
+
+def hop_diameter(t: Topology) -> int:
+    """Largest finite hop distance, i.e. the largest component diameter, exactly.
+
+    Bounding diameters (Takes & Kosters, CIKM 2011).  A search from v gives
+    its eccentricity e and bounds every node w it reaches:
+    max(d, e - d) <= ecc(w) <= e + d with d = d(v, w).  A node stays a
+    candidate while its upper bound exceeds the largest eccentricity found.
+    Each pass searches from two candidates at once: the one with the
+    smallest lower bound and the one with the largest upper bound (ties to
+    higher degree, then lower id).  Component sizes give the first upper
+    bounds.
+    """
+    n = t.n
+    _, label = connected_components(t.sparse(), directed=False)
+    upper = np.bincount(label)[label] - 1
+    lower = np.zeros(n, dtype=np.int64)
+    degree = np.diff(t.sparse().indptr)
+    best = 0
+    candidate = upper > best
+    while candidate.any():
+        central = np.argmin(np.where(candidate, lower * (n + 1) - degree, n * (n + 1)))
+        peripheral = np.argmax(np.where(candidate, upper * (n + 1) + degree, -1))
+        for row in _hop_rows(t, tuple({int(central), int(peripheral)})):
+            reach = np.flatnonzero(row >= 0)
+            d = row[reach]
+            ecc = int(d.max())
+            best = max(best, ecc)
+            lower[reach] = np.maximum(lower[reach], np.maximum(d, ecc - d))
+            upper[reach] = np.minimum(upper[reach], ecc + d)
+        candidate = upper > best
+    return best
 
 
 def build_vcs(t: Topology, anchors: AnchorSet) -> VirtualCoords:
-    """Stack per-anchor BFS hop counts into the per-node coordinate matrix."""
-    cols = []
-    for a in anchors.ids:
-        h = hop_counts(t, a)
-        if (h < 0).any():
-            bad = int(np.argmax(h < 0))
+    """Per-node hop counts to every anchor, from one breadth-first pass."""
+    h = _hop_rows(t, anchors.ids)
+    for a, row in zip(anchors.ids, h):
+        if (row < 0).any():
+            bad = int(np.argmax(row < 0))
             raise CoordsError(f"node {bad} unreachable from anchor {a}; scenario invalid for VCS")
-        cols.append(h)
-    return VirtualCoords(np.column_stack(cols), anchors)
+    return VirtualCoords(np.ascontiguousarray(h.T), anchors)
 
 
 def corner_anchors(t: Topology, dims: int = 4) -> AnchorSet:

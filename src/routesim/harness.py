@@ -31,6 +31,8 @@ from routesim.coords import (
     corner_anchors,
     geo_view,
     hop_counts,
+    hop_diameter,
+    pair_hops,
 )
 from routesim.routing import (
     PROTOCOL_SPECS,
@@ -159,6 +161,8 @@ class Scenario:
     av: AlignedCoords | None
     ctx: RoutingContext
     removed_nodes: int = 0
+    # Shortest-path hops of the pairs _sampled_pairs yields, in that order.
+    sampled_hops: np.ndarray | None = field(default=None, repr=False)
     _hops: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
@@ -212,10 +216,15 @@ class Scenario:
             distance_kind=config.distance if config.distance != "geo" else "euclid",
             semi_weight=config.semi_weight,
         )
+        sc.sampled_hops = _sampled_hops(sc)
         return sc
 
     def hop_matrix(self) -> np.ndarray:
-        """All-pairs hop distances (float, inf across components); cached."""
+        """All-pairs hop distances (float, inf across components); cached.
+
+        An O(n^2) oracle for tests: building and evaluating a scenario never
+        call it.
+        """
         if self._hops is None:
             self._hops = shortest_path(
                 self.topology.sparse(), method="D", directed=False, unweighted=True
@@ -223,8 +232,8 @@ class Scenario:
         return self._hops
 
     def diameter(self) -> int:
-        h = self.hop_matrix()
-        return int(np.max(h, where=np.isfinite(h), initial=0))
+        """Largest finite hop distance over all components."""
+        return hop_diameter(self.topology)
 
     @property
     def effective_depth(self) -> int:
@@ -298,45 +307,49 @@ class MetricsRow:
 
 
 class _Agg:
-    """Commutative per-destination accumulator (reduced in ascending dst order)."""
+    """Per-destination accumulator; partials are reduced in ascending dst order.
 
-    __slots__ = ("evaluated", "excluded", "greedy", "delivered", "mixed",
-                 "sum_greedy", "sum_all", "sum_comp", "episodes", "failures")
+    Complementary episodes are kept as (entry, end, hops) and divided only
+    after every group is routed, by one oracle call over all of them.
+    """
+
+    __slots__ = ("evaluated", "excluded", "greedy", "delivered",
+                 "sum_greedy", "sum_all", "episodes", "failures")
 
     def __init__(self):
         self.evaluated = 0
         self.excluded = 0
         self.greedy = 0
         self.delivered = 0
-        self.mixed = 0
         self.sum_greedy = 0.0
         self.sum_all = 0.0
-        self.sum_comp = 0.0
-        self.episodes = 0
+        self.episodes: list[tuple[int, int, int]] = []
         self.failures: Counter = Counter()
 
     def merge(self, other: "_Agg") -> None:
+        """Add other's counts and sums; episodes stay with their group."""
         self.evaluated += other.evaluated
         self.excluded += other.excluded
         self.greedy += other.greedy
         self.delivered += other.delivered
-        self.mixed += other.mixed
         self.sum_greedy += other.sum_greedy
         self.sum_all += other.sum_all
-        self.sum_comp += other.sum_comp
-        self.episodes += other.episodes
         self.failures.update(other.failures)
 
 
-def _eval_group(sc: Scenario, dst: int, srcs: np.ndarray, sp_row: np.ndarray) -> _Agg:
-    """Route every src toward one dst and accumulate metrics."""
+def _eval_group(sc: Scenario, dst: int, srcs: np.ndarray, sp: np.ndarray) -> _Agg:
+    """Route every src toward one dst and accumulate metrics.
+
+    ``sp[i]`` is the shortest-path hop count from ``srcs[i]`` to dst.
+    """
     agg = _Agg()
     spec = sc.config.spec
     t = sc.topology
     ttl = sc.ctx.ttl
-    reach = np.isfinite(sp_row[srcs])
+    reach = np.isfinite(sp)
     agg.excluded += int((~reach).sum())
     srcs = srcs[reach]
+    sp = sp[reach]
     agg.evaluated += len(srcs)
     if len(srcs) == 0:
         return agg
@@ -348,12 +361,12 @@ def _eval_group(sc: Scenario, dst: int, srcs: np.ndarray, sp_row: np.ndarray) ->
         agg.sum_all += float(len(srcs))
         return agg
 
+    dfield = sc.ctx.dfield(sc.config.protocol, dst)
     if spec.recovery == Recovery.NONE:
-        dfield = sc.ctx.dfield(sc.config.protocol, dst)
         ok, hops = greedy_walks(greedy_successors(dfield, t, dst), dst)
-        for src in srcs:
+        for src, sp_src in zip(srcs, sp):
             if ok[src] and hops[src] <= ttl:
-                stretch = hops[src] / sp_row[src]
+                stretch = hops[src] / sp_src
                 agg.greedy += 1
                 agg.delivered += 1
                 agg.sum_greedy += stretch
@@ -368,35 +381,29 @@ def _eval_group(sc: Scenario, dst: int, srcs: np.ndarray, sp_row: np.ndarray) ->
     if spec.recovery == Recovery.PERIMETER:
         pg = sc.ctx.planar(spec.planar)
         pos = sc.ctx.geo_positions
-        results = (gpsr_route(int(s), dst, pos, pg, t, ttl) for s in srcs)
+        results = (gpsr_route(int(s), dst, pos, pg, t, ttl, dfield=dfield) for s in srcs)
+    elif spec.recovery == Recovery.BACKTRACK:
+        results = (lcr_route(int(s), dst, dfield, t, ttl) for s in srcs)
     else:
-        dfield = sc.ctx.dfield(sc.config.protocol, dst)
-        if spec.recovery == Recovery.BACKTRACK:
-            results = (lcr_route(int(s), dst, dfield, t, ttl) for s in srcs)
-        else:
-            results = (bvr_route(int(s), dst, dfield, sc.vc, t, ttl) for s in srcs)
+        results = (bvr_route(int(s), dst, dfield, sc.vc, t, ttl) for s in srcs)
 
-    hop_matrix = sc.hop_matrix()
-    for src, rr in zip(srcs, results):
+    for sp_src, rr in zip(sp, results):
         if rr.delivered:
-            stretch = rr.hops / sp_row[src]
+            stretch = rr.hops / sp_src
             agg.delivered += 1
             agg.sum_all += stretch
             if rr.outcome == Outcome.DELIVERED_GREEDY:
                 agg.greedy += 1
                 agg.sum_greedy += stretch
             else:
-                agg.mixed += 1
-                for hops_ep, sp_ep in _episodes(rr, hop_matrix):
-                    agg.episodes += 1
-                    agg.sum_comp += hops_ep / sp_ep
+                agg.episodes.extend(_episodes(rr))
         else:
             agg.failures[rr.failure_cause or "unreachable"] += 1
     return agg
 
 
-def _episodes(rr, hop_matrix: np.ndarray):
-    """Complementary episodes of a delivered route.
+def _episodes(rr):
+    """Complementary episodes of a delivered route, as (entry, end, hops).
 
     An episode is a maximal run of non-greedy hops; its stretch compares the
     hops it spent against the shortest path between the nodes where it began
@@ -413,10 +420,33 @@ def _episodes(rr, hop_matrix: np.ndarray):
         while j < len(modes) and modes[j] != Mode.GREEDY:
             j += 1
         entry, end = rr.path[i], rr.path[j]
-        sp = hop_matrix[entry][end]
-        if sp > 0 and np.isfinite(sp):
-            yield (j - i), sp
+        if entry != end:
+            yield entry, end, j - i
         i = j
+
+
+def _complementary_stretch(t: Topology, groups: list[list[tuple[int, int, int]]]) -> float:
+    """Mean stretch of the episodes of every group (NaN without episodes).
+
+    One oracle call over every episode gives the denominators.  Stretches are
+    summed within each group, then across groups in order, as a serial
+    per-group accumulation adds them, so the float result does not depend on
+    how groups were spread over workers.
+    """
+    flat = [ep for g in groups for ep in g]
+    if not flat:
+        return float("nan")
+    entry, end, hops = np.array(flat, dtype=np.int64).T
+    stretch = (hops / pair_hops(t, end, entry)).tolist()
+    total = 0.0
+    at = 0
+    for g in groups:
+        part = 0.0
+        for x in stretch[at:at + len(g)]:
+            part += x
+        total += part
+        at += len(g)
+    return total / len(flat)
 
 
 def _sampled_pairs(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -436,6 +466,30 @@ def _sampled_pairs(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return srcs, dsts
 
 
+# Destinations per block of the all-pairs oracle: one uint64 word per node,
+# which keeps a block's pair arrays small beside the n(n-1) result.
+_ORACLE_BLOCK = 64
+
+
+def _sampled_hops(sc: Scenario) -> np.ndarray:
+    """Shortest-path hops of the pairs _sampled_pairs yields, in that order.
+
+    All pairs are taken a block of destinations at a time, so besides the
+    result only one block's pairs are held at once.
+    """
+    t = sc.topology
+    n = t.n
+    if 0 < sc.config.sample < n * (n - 1):
+        return pair_hops(t, *_sampled_pairs(sc))
+    out = np.empty(n * (n - 1))
+    nodes = np.arange(n)
+    for lo in range(0, n, _ORACLE_BLOCK):
+        block = nodes[lo:lo + _ORACLE_BLOCK]
+        h = pair_hops(t, np.tile(nodes, len(block)), np.repeat(block, n))
+        out[lo * (n - 1):(lo + len(block)) * (n - 1)] = h[(nodes != block[:, None]).ravel()]
+    return out
+
+
 def evaluate(config: ScenarioConfig, workers: int = 1) -> MetricsRow:
     """Build the scenario and route every (or each sampled) ordered pair."""
     sc = Scenario.build(config)
@@ -444,16 +498,16 @@ def evaluate(config: ScenarioConfig, workers: int = 1) -> MetricsRow:
 
 def evaluate_scenario(sc: Scenario, workers: int = 1) -> MetricsRow:
     srcs, dsts = _sampled_pairs(sc)
-    starts = np.flatnonzero(np.diff(dsts, prepend=-1))
-    groups = list(zip(dsts[starts].tolist(), np.split(srcs, starts[1:])))
-
-    hops = sc.hop_matrix()
-    total = _Agg()
+    bounds = np.flatnonzero(np.diff(dsts, prepend=-1)).tolist() + [len(dsts)]
+    groups = [(int(dsts[lo]), lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if workers <= 1:
-        for dst, group_srcs in groups:
-            total.merge(_eval_group(sc, dst, group_srcs, hops[dst]))
+        partials = [_eval_group(sc, dst, srcs[lo:hi], sc.sampled_hops[lo:hi])
+                    for dst, lo, hi in groups]
     else:
-        total = _parallel_eval(sc, groups, hops, workers)
+        partials = _parallel_eval(sc, srcs, groups, workers)
+    total = _Agg()
+    for part in partials:
+        total.merge(part)
 
     cfg = sc.config
     pairs = total.evaluated
@@ -461,7 +515,7 @@ def evaluate_scenario(sc: Scenario, workers: int = 1) -> MetricsRow:
     delivery_ratio = total.delivered / pairs if pairs else float("nan")
     stretch_greedy = total.sum_greedy / total.greedy if total.greedy else float("nan")
     stretch_all = total.sum_all / total.delivered if total.delivered else float("nan")
-    stretch_comp = total.sum_comp / total.episodes if total.episodes else float("nan")
+    stretch_comp = _complementary_stretch(sc.topology, [part.episodes for part in partials])
     return MetricsRow(
         scenario_id=cfg.scenario_id(),
         protocol=cfg.protocol,
@@ -480,33 +534,30 @@ def evaluate_scenario(sc: Scenario, workers: int = 1) -> MetricsRow:
     )
 
 
+# Inherited by forked workers: the scenario and the sources of its pairs.
 _FORK_SCENARIO: Scenario | None = None
-_FORK_HOPS: np.ndarray | None = None
+_FORK_SRCS: np.ndarray | None = None
 
 
-def _fork_worker(args: tuple[int, np.ndarray]) -> _Agg:
-    dst, group_srcs = args
-    return _eval_group(_FORK_SCENARIO, dst, group_srcs, _FORK_HOPS[dst])
+def _fork_worker(group: tuple[int, int, int]) -> _Agg:
+    dst, lo, hi = group
+    return _eval_group(_FORK_SCENARIO, dst, _FORK_SRCS[lo:hi], _FORK_SCENARIO.sampled_hops[lo:hi])
 
 
-def _parallel_eval(sc: Scenario, groups, hops, workers: int) -> _Agg:
-    """Fork-based pool; groups are reduced in ascending dst order, so the
-    result is byte-identical to a serial run."""
+def _parallel_eval(sc: Scenario, srcs: np.ndarray, groups, workers: int) -> list[_Agg]:
+    """Fork-based pool; partials come back in ascending dst order, so the
+    reduced result is byte-identical to a serial run."""
     import multiprocessing as mp
 
-    global _FORK_SCENARIO, _FORK_HOPS
+    global _FORK_SCENARIO, _FORK_SRCS
     _FORK_SCENARIO = sc
-    _FORK_HOPS = hops
+    _FORK_SRCS = srcs
     try:
         with mp.get_context("fork").Pool(processes=workers) as pool:
-            partials = pool.map(_fork_worker, groups, chunksize=max(1, len(groups) // (workers * 4)))
+            return pool.map(_fork_worker, groups, chunksize=max(1, len(groups) // (workers * 4)))
     finally:
         _FORK_SCENARIO = None
-        _FORK_HOPS = None
-    total = _Agg()
-    for p in partials:
-        total.merge(p)
-    return total
+        _FORK_SRCS = None
 
 
 # --- sweeps ---------------------------------------------------------------

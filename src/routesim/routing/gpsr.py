@@ -110,10 +110,16 @@ def gpsr_route(
     pg: PlanarGraph,
     t: Topology,
     ttl: int,
+    dfield: np.ndarray | None = None,
 ) -> RouteResult:
-    """Greedy forwarding with perimeter-mode recovery on the planar subgraph."""
+    """Greedy forwarding with perimeter-mode recovery on the planar subgraph.
+
+    ``dfield`` is the planar distance field toward dst; bulk evaluation
+    builds it once per destination and passes it in.
+    """
     pos = np.asarray(positions, dtype=float)
-    dfield = planar_field(pos, pos[dst])
+    if dfield is None:
+        dfield = planar_field(pos, pos[dst])
     return greedy_route(
         src, dst, dfield, t, ttl,
         lambda u, path, modes: _perimeter_episode(u, dst, pos, pg, dfield, path, modes, ttl),

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -61,11 +65,70 @@ def test_sample_budget_equal_to_total_matches_full():
 
 
 def test_workers_do_not_change_output():
-    cfg = small_grid("lcr", sample=500, seed=3,
-                     voids=(VoidSpec("disc", (3.5, 3.5), radius=1.2),))
-    serial = evaluate(cfg, workers=1)
-    parallel = evaluate(cfg, workers=2)
-    assert serial.csv_row() == parallel.csv_row()
+    void = (VoidSpec("disc", (3.5, 3.5), radius=1.2),)
+    split = dict(deployment="random", n=70, width=9.0, height=9.0, radio_range=1.3,
+                 seed=3, loc_error=0.4)
+    for cfg in (small_grid("lcr", sample=500, seed=3, voids=void),
+                small_grid("bvr", sample=500, seed=3, voids=void),
+                ScenarioConfig(protocol="gpsr-rng", **split),
+                ScenarioConfig(protocol="gf-geo", **split)):
+        serial = evaluate(cfg, workers=1)
+        parallel = evaluate(cfg, workers=2)
+        assert serial == parallel, cfg.protocol
+        assert serial.csv_row() == parallel.csv_row()
+        assert serial.failures == parallel.failures
+        assert serial.excluded_pairs == parallel.excluded_pairs
+        if cfg.deployment == "random":
+            assert serial.excluded_pairs > 0 and serial.failures, cfg.protocol
+        if cfg.protocol != "gf-geo":
+            # delivered routes had complementary episodes to defer
+            assert not math.isnan(serial.stretch_complementary), cfg.protocol
+
+
+def _refuse_hop_matrix(self):
+    raise AssertionError("the all-pairs hop matrix was requested")
+
+
+@pytest.mark.parametrize("protocol", ["gf-avcs", "lcr", "bvr", "gpsr-rng"])
+def test_build_and_evaluate_never_call_hop_matrix(monkeypatch, protocol):
+    monkeypatch.setattr(Scenario, "hop_matrix", _refuse_hop_matrix)
+    cfg = ScenarioConfig(deployment="grid", rows=12, cols=12, radio_range=1.5,
+                         voids=(VoidSpec("disc", (5.5, 5.5), radius=2.5),),
+                         protocol=protocol, loc_error=0.4, align_depth=1, sample=800, seed=2)
+    sc = Scenario.build(cfg)
+    row = evaluate_scenario(sc)
+    assert row.pairs == 800
+    assert sc.ctx.ttl == math.ceil(cfg.ttl_factor * sc.diameter())
+    if protocol != "gf-avcs":
+        assert not math.isnan(row.stretch_complementary)
+
+
+def test_large_sampled_scenario_memory_is_bounded(monkeypatch):
+    # The all-pairs matrix of this deployment would take 3.2 GB.
+    monkeypatch.setattr(Scenario, "hop_matrix", _refuse_hop_matrix)
+    cfg = ScenarioConfig(deployment="random", n=20_000, width=95.0, height=95.0,
+                         radio_range=1.2, protocol="gf-geo", sample=200, seed=1)
+    tracemalloc.start()
+    try:
+        row = evaluate(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert row.pairs + row.excluded_pairs == 200 and row.pairs > 0
+    assert peak < 200 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_networkx_stays_a_test_only_dependency():
+    code = (
+        "import sys\n"
+        "from routesim.harness import ScenarioConfig, evaluate\n"
+        "evaluate(ScenarioConfig(deployment='random', n=60, width=8, height=8,"
+        " radio_range=1.5, protocol='gpsr-rng', sample=300))\n"
+        "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_metrics_invariants_mixed_protocol():

@@ -1,0 +1,111 @@
+"""The bit-parallel hop oracle and the exact diameter, against networkx."""
+
+import networkx as nx
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from routesim.coords import CoordsError, hop_counts, hop_diameter, pair_hops
+from routesim.topology import build_udg, generate_random, topology_from_adjacency
+
+LONG_PATH = 300  # hops: more than eight bit planes of level counts
+
+
+def _topology(n, edges):
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        if u != v:
+            adj[u].append(v)
+    return topology_from_adjacency(np.zeros((n, 2)), adj)
+
+
+def _graph(t):
+    g = nx.Graph()
+    g.add_nodes_from(range(t.n))
+    g.add_edges_from((u, v) for u, nbrs in enumerate(t.adjacency) for v in nbrs if u < v)
+    return g
+
+
+def _expected(g, srcs, dsts):
+    rows = {d: nx.single_source_shortest_path_length(g, d) for d in set(dsts)}
+    return np.array([rows[d].get(s, np.inf) for s, d in zip(srcs, dsts)], dtype=float)
+
+
+def _diameter(g):
+    return max(nx.diameter(g.subgraph(c), usebounds=True) for c in nx.connected_components(g))
+
+
+@st.composite
+def topologies(draw):
+    """Sparse random graphs, often disconnected and with isolated nodes; some
+    carry a path component longer than 255 hops, hung off node 0 or not."""
+    n = draw(st.integers(1, 160))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    if draw(st.booleans()):
+        edges += [(n + i, n + i + 1) for i in range(LONG_PATH)]
+        if draw(st.booleans()):
+            edges.append((0, n))
+        n += LONG_PATH + 1
+    return _topology(n, edges)
+
+
+@settings(max_examples=120, deadline=None)
+@given(t=topologies(), data=st.data())
+def test_pair_hops_matches_networkx(t, data):
+    node = st.integers(0, t.n - 1)
+    # Up to 130 roots (more than two 64-bit words), duplicates allowed; every
+    # node is a source, so src == dst occurs once per root.
+    roots = data.draw(st.lists(node, min_size=1, max_size=130))
+    srcs = np.tile(np.arange(t.n), len(roots))
+    dsts = np.repeat(roots, t.n)
+    extra = data.draw(st.lists(st.tuples(node, node), max_size=50))
+    if extra:
+        srcs = np.concatenate([srcs, [s for s, _ in extra]])
+        dsts = np.concatenate([dsts, [d for _, d in extra]])
+    order = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(len(srcs))
+    srcs, dsts = srcs[order], dsts[order]
+    assert np.array_equal(pair_hops(t, srcs, dsts), _expected(_graph(t), srcs.tolist(), dsts.tolist()))
+
+
+@settings(max_examples=120, deadline=None)
+@given(t=topologies())
+def test_hop_diameter_matches_networkx_per_component(t):
+    assert hop_diameter(t) == _diameter(_graph(t))
+
+
+def test_pair_hops_over_several_root_passes():
+    # 700 distinct roots take two passes; the deployment leaves isolated
+    # nodes and several components.
+    t = build_udg(generate_random(700, 20.0, 20.0, 4), 1.0)
+    g = _graph(t)
+    assert nx.number_connected_components(g) > 1 and any(len(a) == 0 for a in t.adjacency)
+    rng = np.random.default_rng(0)
+    srcs = rng.integers(0, t.n, 4000)
+    dsts = np.concatenate([np.arange(t.n), rng.integers(0, t.n, 4000 - t.n)])
+    assert np.array_equal(pair_hops(t, srcs, dsts), _expected(g, srcs.tolist(), dsts.tolist()))
+    assert hop_diameter(t) == _diameter(g)
+
+
+def test_long_path_counts_past_255_hops():
+    n = 600
+    t = _topology(n, [(i, i + 1) for i in range(n - 1)])
+    assert np.array_equal(hop_counts(t, 0), np.arange(n))
+    assert pair_hops(t, [0, n - 1, 17], [n - 1, 0, 17]).tolist() == [n - 1, n - 1, 0]
+    assert hop_diameter(t) == n - 1
+
+
+def test_pair_hops_empty_and_isolated():
+    t = _topology(3, [])
+    assert pair_hops(t, [], []).shape == (0,)
+    assert pair_hops(t, [0, 1, 2], [0, 2, 1]).tolist() == [0.0, np.inf, np.inf]
+    assert hop_diameter(t) == 0
+
+
+def test_hop_counts_int64_minus_one_and_bad_anchor():
+    t = _topology(4, [(0, 1), (2, 3)])
+    h = hop_counts(t, 1)
+    assert h.dtype == np.int64 and h.tolist() == [1, 0, -1, -1]
+    for bad in (-1, 4):
+        with pytest.raises(CoordsError):
+            hop_counts(t, bad)
