@@ -120,9 +120,10 @@ def cmd_sweep(args) -> int:
 
 
 def _parse_axis_value(axis: str, v: str):
-    if axis in ("align_depth", "hole_count", "seed"):
-        return int(v)
-    return float(v)
+    try:
+        return int(v) if axis in ("align_depth", "hole_count", "seed") else float(v)
+    except ValueError:
+        raise ScenarioError(f"bad {axis} value {v!r}") from None
 
 
 def cmd_map(args) -> int:

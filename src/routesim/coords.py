@@ -129,8 +129,7 @@ def _bit_bfs(t: Topology, roots: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     only the rows next to the frontier are reduced (the top-down half of
     direction-optimizing search, Beamer et al., SC 2012).
     """
-    csr = t.sparse()
-    indptr, indices = csr.indptr, csr.indices
+    indptr, indices = t.indptr, t.indices
     degree = np.diff(indptr)
     # reduceat returns the start element, not zero, for an empty segment, so
     # only rows with at least one neighbor are reduced.
@@ -208,7 +207,7 @@ def hop_diameter(t: Topology) -> int:
     _, label = connected_components(t.sparse(), directed=False)
     upper = np.bincount(label)[label] - 1
     lower = np.zeros(n, dtype=np.int64)
-    degree = np.diff(t.sparse().indptr)
+    degree = np.diff(t.indptr)
     best = 0
     candidate = upper > best
     while candidate.any():
@@ -296,12 +295,8 @@ def geo_view(t: Topology, perceived: PerceivedPositions | None = None) -> np.nda
 
 def check_edge_lipschitz(vc: VirtualCoords, t: Topology) -> bool:
     """Every edge differs by at most one hop in every dimension (BFS property)."""
-    m = vc.matrix
-    for u, nbrs in enumerate(t.adjacency):
-        for v in nbrs:
-            if u < v and (np.abs(m[u] - m[v]) > 1).any():
-                return False
-    return True
+    u, v = t.edges().T
+    return bool((np.abs(vc.matrix[u] - vc.matrix[v]) <= 1).all())
 
 
 def format_coords(ac: AlignedCoords) -> str:

@@ -110,6 +110,10 @@ class ScenarioConfig:
     sample: int = 0                       # ordered-pair budget; 0 evaluates all pairs
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ScenarioError(f"{f.name} must be finite, got {value}")
         if self.deployment not in ("grid", "random", "abc-fixture"):
             raise ScenarioError(f"unknown deployment kind {self.deployment!r}")
         if self.protocol not in PROTOCOL_SPECS:

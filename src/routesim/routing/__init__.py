@@ -18,7 +18,7 @@ from routesim import distance as dist_mod
 from routesim.coords import AlignedCoords, VirtualCoords
 from routesim.routing.greedy import greedy_next_hop, greedy_route, sp_route
 from routesim.routing.gpsr import gpsr_route
-from routesim.routing.planar import METHOD_GG, METHOD_RNG, PlanarGraph, planarize, segments_properly_cross, count_crossings
+from routesim.routing.planar import METHOD_GG, METHOD_RNG, planarize, segments_properly_cross, count_crossings
 from routesim.routing.recovery import bvr_route, lcr_route
 from routesim.routing.result import Failure, Mode, Outcome, RouteResult, finish
 from routesim.topology import Topology
@@ -91,9 +91,9 @@ class RoutingContext:
     av: AlignedCoords | None = None          # None when alignment depth is 0
     distance_kind: str = "euclid"
     semi_weight: float = dist_mod.DEFAULT_SEMI_WEIGHT
-    _planar: dict[str, PlanarGraph] = field(default_factory=dict)
+    _planar: dict[str, Topology] = field(default_factory=dict)
 
-    def planar(self, method: str) -> PlanarGraph:
+    def planar(self, method: str) -> Topology:
         pg = self._planar.get(method)
         if pg is None:
             pg = planarize(self.topology, self.geo_positions, method)
@@ -155,7 +155,6 @@ __all__ = [
     "greedy_route",
     "sp_route",
     "planarize",
-    "PlanarGraph",
     "METHOD_GG",
     "METHOD_RNG",
     "segments_properly_cross",

@@ -19,9 +19,9 @@ import math
 
 import numpy as np
 
-from routesim.distance import planar_field
+from routesim.distance import euclidean_field
 from routesim.routing.greedy import greedy_route
-from routesim.routing.planar import PlanarGraph, crossing_point
+from routesim.routing.planar import crossing_point
 from routesim.routing.result import Failure, Mode, RouteResult
 from routesim.topology import Topology
 
@@ -49,7 +49,7 @@ def _perimeter_episode(
     u: int,
     dst: int,
     pos: np.ndarray,
-    pg: PlanarGraph,
+    pg: Topology,
     dfield: np.ndarray,
     path: list[int],
     modes: list[str],
@@ -107,7 +107,7 @@ def gpsr_route(
     src: int,
     dst: int,
     positions: np.ndarray,
-    pg: PlanarGraph,
+    pg: Topology,
     t: Topology,
     ttl: int,
     dfield: np.ndarray | None = None,
@@ -119,7 +119,7 @@ def gpsr_route(
     """
     pos = np.asarray(positions, dtype=float)
     if dfield is None:
-        dfield = planar_field(pos, pos[dst])
+        dfield = euclidean_field(pos, pos[dst])
     return greedy_route(
         src, dst, dfield, t, ttl,
         lambda u, path, modes: _perimeter_episode(u, dst, pos, pg, dfield, path, modes, ttl),

@@ -10,56 +10,39 @@ these conventions every RNG edge is also a Gabriel edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from routesim.topology import Topology
+from routesim.topology import Topology, _from_edges
 
 METHOD_GG = "gg"
 METHOD_RNG = "rng"
 
 
-@dataclass(frozen=True)
-class PlanarGraph:
-    """Subgraph of a topology intended to be crossing-free for face routing."""
-
-    adjacency: tuple[tuple[int, ...], ...]
-    method: str
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v]
-
-
-def planarize(t: Topology, positions: np.ndarray, method: str) -> PlanarGraph:
-    """Filter the topology's edges down to the GG or RNG subgraph."""
+def planarize(t: Topology, positions: np.ndarray, method: str) -> Topology:
+    """The GG or RNG subgraph of the topology, over the same deployment."""
     if method not in (METHOD_GG, METHOD_RNG):
         raise ValueError(f"unknown planarization method {method!r}")
     pos = np.asarray(positions, dtype=float)
-    keep: list[list[int]] = [[] for _ in range(t.n)]
-    for u, nbrs in enumerate(t.adjacency):
-        pu = pos[u]
-        for v in nbrs:
-            if v < u:
-                continue
-            pv = pos[v]
-            witnesses = set(t.adjacency[u]) | set(t.adjacency[v])
-            witnesses.discard(u)
-            witnesses.discard(v)
-            if method == METHOD_GG:
-                mid = (pu + pv) / 2.0
-                r2 = ((pu - pv) ** 2).sum() / 4.0
-                ok = all(((pos[w] - mid) ** 2).sum() > r2 for w in witnesses)
-            else:
-                d2 = ((pu - pv) ** 2).sum()
-                ok = all(
-                    max(((pos[w] - pu) ** 2).sum(), ((pos[w] - pv) ** 2).sum()) >= d2
-                    for w in witnesses
-                )
-            if ok:
-                keep[u].append(v)
-                keep[v].append(u)
-    return PlanarGraph(tuple(tuple(sorted(k)) for k in keep), method)
+    keep: list[tuple[int, int]] = []
+    adj = t.adjacency
+    for u, v in t.edges().tolist():
+        pu, pv = pos[u], pos[v]
+        witnesses = set(adj[u]) | set(adj[v])
+        witnesses.discard(u)
+        witnesses.discard(v)
+        if method == METHOD_GG:
+            mid = (pu + pv) / 2.0
+            r2 = ((pu - pv) ** 2).sum() / 4.0
+            ok = all(((pos[w] - mid) ** 2).sum() > r2 for w in witnesses)
+        else:
+            d2 = ((pu - pv) ** 2).sum()
+            ok = all(
+                max(((pos[w] - pu) ** 2).sum(), ((pos[w] - pv) ** 2).sum()) >= d2
+                for w in witnesses
+            )
+        if ok:
+            keep.append((u, v))
+    return _from_edges(t.deployment, t.radio_range, keep)
 
 
 def _orient(a, b, c) -> float:
@@ -93,12 +76,12 @@ def crossing_point(p1, p2, q1, q2) -> tuple[float, float] | None:
     return (x1 + s * (x2 - x1), y1 + s * (y2 - y1))
 
 
-def count_crossings(pg: PlanarGraph, positions: np.ndarray) -> int:
+def count_crossings(pg: Topology, positions: np.ndarray) -> int:
     """Number of properly crossing edge pairs (planarity check for tests).
 
     Vectorized over all edge pairs; pairs sharing an endpoint never count.
     """
-    edges = np.array(pg.edges(), dtype=np.int64)
+    edges = pg.edges()
     if len(edges) < 2:
         return 0
     pos = np.asarray(positions, dtype=float)

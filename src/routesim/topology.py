@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -69,6 +70,8 @@ class VoidSpec:
     def __post_init__(self):
         if self.kind not in ("disc", "rect"):
             raise TopologyError(f"unknown void kind {self.kind!r}")
+        if not all(map(math.isfinite, (*self.center, self.radius, self.half_w, self.half_h))):
+            raise TopologyError("void parameters must be finite")
         if self.kind == "disc" and self.radius <= 0:
             raise TopologyError("disc void needs a positive radius")
         if self.kind == "rect" and (self.half_w <= 0 or self.half_h <= 0):
@@ -86,14 +89,19 @@ class VoidSpec:
 
 @dataclass(frozen=True)
 class Topology:
-    """Unit-disk connectivity over a deployment.
+    """Undirected connectivity over a deployment, stored as CSR arrays.
 
-    ``adjacency[u]`` is the sorted tuple of u's neighbor ids.
+    ``indices[indptr[u]:indptr[u + 1]]`` are u's neighbor ids in ascending
+    order; the graph is symmetric with no duplicates or self loops.
+    ``build_udg``, ``topology_from_adjacency``, ``parse_topology`` and
+    planarization all build one through ``_from_edges``.  Every other form of
+    the adjacency is derived from these two arrays.
     """
 
     deployment: Deployment
     radio_range: float
-    adjacency: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray   # (n + 1,) int64, read-only
+    indices: np.ndarray  # (2 * n_edges,) int64, read-only
 
     @property
     def n(self) -> int:
@@ -105,7 +113,7 @@ class Topology:
 
     @property
     def n_edges(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
+        return len(self.indices) // 2
 
     @property
     def mean_degree(self) -> float:
@@ -117,42 +125,59 @@ class Topology:
     def connected(self) -> bool:
         return connected_components(self.sparse(), directed=False, return_labels=False) == 1
 
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """``adjacency[u]``: the ascending tuple of u's neighbor ids (Python ints)."""
+        ids = self.indices.tolist()
+        bounds = self.indptr.tolist()
+        return tuple(tuple(ids[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    def edges(self) -> np.ndarray:
+        """(n_edges, 2) array of every edge once as (u, v) with u < v, sorted."""
+        u = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        upper = u < self.indices
+        return np.column_stack([u[upper], self.indices[upper]])
+
     def sparse(self) -> csr_matrix:
-        """Adjacency as a scipy CSR matrix (cached)."""
-        cached = getattr(self, "_sparse", None)
-        if cached is None:
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            for u, nbrs in enumerate(self.adjacency):
-                indptr[u + 1] = indptr[u] + len(nbrs)
-            indices = np.fromiter(
-                (v for nbrs in self.adjacency for v in nbrs),
-                dtype=np.int64,
-                count=indptr[-1],
-            )
-            data = np.ones(len(indices), dtype=np.int8)
-            cached = csr_matrix((data, indices, indptr), shape=(self.n, self.n))
-            object.__setattr__(self, "_sparse", cached)
-        return cached
+        """Adjacency as a scipy CSR matrix of int8 ones over the stored arrays."""
+        data = np.ones(len(self.indices), dtype=np.int8)
+        return csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
     def neighbor_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Padded (n, max_deg) neighbor-id matrix plus validity mask (cached).
+        """Padded (n, max_deg) neighbor-id matrix plus validity mask.
 
         Rows are padded with 0 and masked out; neighbor ids appear in
         ascending order so first-occurrence argmin resolves distance ties
-        toward the lowest node id.
+        toward the lowest node id.  Built once; greedy forwarding reads it
+        for every destination.
         """
-        cached = getattr(self, "_nbr_matrix", None)
-        if cached is None:
-            maxdeg = max((len(a) for a in self.adjacency), default=0)
-            maxdeg = max(maxdeg, 1)
-            ids = np.zeros((self.n, maxdeg), dtype=np.int64)
-            mask = np.zeros((self.n, maxdeg), dtype=bool)
-            for u, nbrs in enumerate(self.adjacency):
-                ids[u, : len(nbrs)] = nbrs
-                mask[u, : len(nbrs)] = True
-            cached = (_freeze(ids), _freeze(mask))
-            object.__setattr__(self, "_nbr_matrix", cached)
-        return cached
+        return self._padded
+
+    @cached_property
+    def _padded(self) -> tuple[np.ndarray, np.ndarray]:
+        degree = np.diff(self.indptr)
+        mask = np.arange(max(int(degree.max()), 1)) < degree[:, None]
+        ids = np.zeros(mask.shape, dtype=np.int64)
+        ids[mask] = self.indices
+        return _freeze(ids), _freeze(mask)
+
+
+def _from_edges(d: Deployment, radio_range: float, edges) -> Topology:
+    """The one constructor of a Topology from an (m, 2) int edge array.
+
+    Edges may come in either orientation and repeat; both orientations are
+    stored once, sorted by (u, v).  Self loops and ids outside [0, n) raise.
+    """
+    n = d.n
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if ((e < 0) | (e >= n)).any():
+        raise TopologyError(f"edge endpoint outside the node ids [0, {n})")
+    if (e[:, 0] == e[:, 1]).any():
+        raise TopologyError("self loop in the edge list")
+    keys = np.unique(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return Topology(d, radio_range, _freeze(indptr), _freeze(keys % n))
 
 
 def generate_grid(rows: int, cols: int, spacing: float) -> Deployment:
@@ -207,12 +232,7 @@ def build_udg(d: Deployment, radio_range: float) -> Topology:
     # the unit-disk rule links only nodes at positive distance.
     pos = d.positions
     pairs = pairs[(pos[pairs[:, 0]] != pos[pairs[:, 1]]).any(axis=1)]
-    adj: list[list[int]] = [[] for _ in range(d.n)]
-    for u, v in pairs.tolist():
-        adj[u].append(v)
-        adj[v].append(u)
-    adjacency = tuple(tuple(sorted(a)) for a in adj)
-    return Topology(deployment=d, radio_range=radio_range, adjacency=adjacency)
+    return _from_edges(d, radio_range, pairs)
 
 
 def topology_from_adjacency(
@@ -231,17 +251,8 @@ def topology_from_adjacency(
     pos = np.asarray(positions, dtype=float)
     w = float(pos[:, 0].max()) + 1.0 if width is None else width
     h = float(pos[:, 1].max()) + 1.0 if height is None else height
-    dep = Deployment(pos, width=w, height=h)
-    n = dep.n
-    sym: list[set[int]] = [set() for _ in range(n)]
-    for u, nbrs in enumerate(adjacency):
-        for v in nbrs:
-            if u == v:
-                raise TopologyError("self loop in explicit adjacency")
-            sym[u].add(v)
-            sym[v].add(u)
-    adj = tuple(tuple(sorted(s)) for s in sym)
-    return Topology(deployment=dep, radio_range=radio_range, adjacency=adj)
+    edges = [(u, v) for u, nbrs in enumerate(adjacency) for v in nbrs]
+    return _from_edges(Deployment(pos, width=w, height=h), radio_range, edges)
 
 
 @dataclass(frozen=True)
@@ -288,10 +299,8 @@ def format_topology(t: Topology) -> str:
     out.write(f"nodes {t.n} width {d.width:.6f} height {d.height:.6f} range {t.radio_range:.6f}\n")
     for i, (x, y) in enumerate(t.positions):
         out.write(f"{i} {x:.6f} {y:.6f}\n")
-    for u, nbrs in enumerate(t.adjacency):
-        for v in nbrs:
-            if u < v:
-                out.write(f"{u} {v}\n")
+    for u, v in t.edges().tolist():
+        out.write(f"{u} {v}\n")
     return out.getvalue()
 
 
@@ -307,10 +316,8 @@ def parse_topology(text: str) -> Topology:
     for ln in lines[1 : 1 + n]:
         parts = ln.split()
         pos[int(parts[0])] = (float(parts[1]), float(parts[2]))
-    adj: list[list[int]] = [[] for _ in range(n)]
+    edges = []
     for ln in lines[1 + n :]:
-        u, v = (int(p) for p in ln.split())
-        adj[u].append(v)
-        adj[v].append(u)
-    dep = Deployment(pos, width=width, height=height)
-    return Topology(dep, rng, tuple(tuple(sorted(a)) for a in adj))
+        u, v = ln.split()
+        edges.append((int(u), int(v)))
+    return _from_edges(Deployment(pos, width=width, height=height), rng, edges)

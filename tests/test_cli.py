@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from routesim.cli import main
+from routesim.config import _FLOAT_KEYS
 
 GRID_CFG = "deployment = grid\nrows = 20\ncols = 20\nradio_range = 1.2\nprotocol = gf-geo\n"
 HOLE_CFG = (
@@ -92,6 +93,34 @@ def test_sweep_rows(cfg_file, capsys):
     assert run_cli(["--config", path, "--sample", "400", "sweep", "align_depth", "0", "1", "2", "3"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 5  # header + one row per depth
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", sorted(_FLOAT_KEYS))
+def test_non_finite_float_value_exits_2(cfg_file, capsys, key, value):
+    path = cfg_file(f"deployment = grid\nrows = 5\ncols = 5\nprotocol = bvr\n{key} = {value}\n")
+    assert run_cli(["--config", path, "eval"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and key in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("voids", ["disc:nan,2.5,1.0", "disc:2.5,2.5,inf", "rect:2.5,-inf,1.0,1.0"])
+def test_non_finite_void_parameter_exits_2(cfg_file, capsys, voids):
+    path = cfg_file(f"deployment = grid\nrows = 5\ncols = 5\nvoids = {voids}\n")
+    assert run_cli(["--config", path, "eval"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: config line 4:")
+
+
+@pytest.mark.parametrize("axis, value", [("seed", "1.5"), ("radio_range", "abc"), ("align_depth", "x")])
+def test_sweep_malformed_value_exits_2(cfg_file, capsys, axis, value):
+    path = cfg_file(GRID_CFG)
+    assert run_cli(["--config", path, "sweep", axis, "1", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad {axis} value {value!r}\n"
 
 
 def test_coords_dump(cfg_file, capsys):

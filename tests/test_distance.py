@@ -6,33 +6,45 @@ import pytest
 from routesim import distance as dm
 
 
+def euclid(a, b) -> float:
+    return float(dm.euclidean_field(np.asarray([a], dtype=float), b)[0])
+
+
+def manhattan(a, b) -> float:
+    return float(dm.manhattan_field(np.asarray([a], dtype=float), b)[0])
+
+
+def semi(a, b, weight) -> float:
+    return float(dm.semi_manhattan_field(np.asarray([a], dtype=float), b, weight)[0])
+
+
 def test_euclidean_reference_vectors():
     # the counterexample triple: both one-hop options sit at the same distance
-    assert dm.euclidean_vcs([3, 8, 8, 11], [3, 9, 7, 11]) == pytest.approx(math.sqrt(2))
-    assert dm.euclidean_vcs([2, 9, 8, 11], [3, 9, 7, 11]) == pytest.approx(math.sqrt(2))
+    assert euclid([3, 8, 8, 11], [3, 9, 7, 11]) == pytest.approx(math.sqrt(2))
+    assert euclid([2, 9, 8, 11], [3, 9, 7, 11]) == pytest.approx(math.sqrt(2))
 
 
 def test_manhattan_reference_vectors():
-    assert dm.manhattan_vcs([2, 9, 8, 11], [3, 9, 7, 11]) == 2.0
-    assert dm.manhattan_vcs([3, 8, 8, 11], [3, 9, 7, 11]) == 2.0
+    assert manhattan([2, 9, 8, 11], [3, 9, 7, 11]) == 2.0
+    assert manhattan([3, 8, 8, 11], [3, 9, 7, 11]) == 2.0
 
 
 def test_identity_of_indiscernibles():
     v = [4.0, 1.5, 2.25]
-    assert dm.euclidean_vcs(v, v) == 0.0
-    assert dm.manhattan_vcs(v, v) == 0.0
-    assert dm.semi_manhattan_vcs(v, v, 10.0) == 0.0
-    assert dm.planar_euclidean((1.0, 2.0), (1.0, 2.0)) == 0.0
+    assert euclid(v, v) == 0.0
+    assert manhattan(v, v) == 0.0
+    assert semi(v, v, 10.0) == 0.0
+    assert euclid((1.0, 2.0), (1.0, 2.0)) == 0.0
 
 
 def test_hand_values():
-    assert dm.euclidean_vcs([0.5, 0.5], [0, 0]) == pytest.approx(0.7071067811865476)
-    assert dm.manhattan_vcs([0.25, 0.75], [1, 0]) == pytest.approx(1.5)
+    assert euclid([0.5, 0.5], [0, 0]) == pytest.approx(0.7071067811865476)
+    assert manhattan([0.25, 0.75], [1, 0]) == pytest.approx(1.5)
 
 
 def test_semi_manhattan_hand_values():
-    assert dm.semi_manhattan_vcs([3, 1], [1, 3], 10.0) == pytest.approx(22.0)
-    assert dm.semi_manhattan_vcs([1, 1], [3, 3], 10.0) == pytest.approx(4.0)
+    assert semi([3, 1], [1, 3], 10.0) == pytest.approx(22.0)
+    assert semi([1, 1], [3, 3], 10.0) == pytest.approx(4.0)
 
 
 def test_semi_manhattan_weight_one_is_manhattan():
@@ -40,14 +52,14 @@ def test_semi_manhattan_weight_one_is_manhattan():
     for _ in range(50):
         a = rng.integers(0, 20, 4)
         b = rng.integers(0, 20, 4)
-        assert dm.semi_manhattan_vcs(a, b, 1.0) == pytest.approx(dm.manhattan_vcs(a, b))
+        assert semi(a, b, 1.0) == pytest.approx(manhattan(a, b))
 
 
 def test_semi_manhattan_asymmetric():
     # swapping flips which side carries the overshoot weight, so the value
     # changes whenever overshoot and undershoot differ
-    assert dm.semi_manhattan_vcs([5, 0], [0, 0], 10.0) == 50.0
-    assert dm.semi_manhattan_vcs([0, 0], [5, 0], 10.0) == 5.0
+    assert semi([5, 0], [0, 0], 10.0) == 50.0
+    assert semi([0, 0], [5, 0], 10.0) == 5.0
     rng = np.random.default_rng(1)
     checked = 0
     for _ in range(100):
@@ -59,7 +71,7 @@ def test_semi_manhattan_asymmetric():
         if over == under:
             continue
         checked += 1
-        assert dm.semi_manhattan_vcs(a, b, 10.0) != dm.semi_manhattan_vcs(b, a, 10.0)
+        assert semi(a, b, 10.0) != semi(b, a, 10.0)
     assert checked > 50
 
 
@@ -68,8 +80,8 @@ def test_symmetry_of_symmetric_kinds():
     for _ in range(50):
         a = rng.random(4) * 20
         b = rng.random(4) * 20
-        assert dm.euclidean_vcs(a, b) == pytest.approx(dm.euclidean_vcs(b, a))
-        assert dm.manhattan_vcs(a, b) == pytest.approx(dm.manhattan_vcs(b, a))
+        assert euclid(a, b) == pytest.approx(euclid(b, a))
+        assert manhattan(a, b) == pytest.approx(manhattan(b, a))
 
 
 def test_manhattan_dominates_euclidean():
@@ -77,24 +89,17 @@ def test_manhattan_dominates_euclidean():
     for _ in range(200):
         a = rng.integers(0, 30, 4)
         b = rng.integers(0, 30, 4)
-        assert dm.manhattan_vcs(a, b) >= dm.euclidean_vcs(a, b) - 1e-12
+        assert manhattan(a, b) >= euclid(a, b) - 1e-12
 
 
 def test_planar_345_and_translation():
-    assert dm.planar_euclidean((0, 0), (3, 4)) == 5.0
-    assert dm.planar_euclidean((1.5, 2.5), (4.5, 6.5)) == 5.0
-
-
-def test_dimension_mismatch_raises():
-    with pytest.raises(ValueError):
-        dm.euclidean_vcs([1, 2, 3], [1, 2])
-    with pytest.raises(ValueError):
-        dm.manhattan_vcs([1], [1, 2])
-    with pytest.raises(ValueError):
-        dm.semi_manhattan_vcs([1, 2], [1, 2, 3], 10.0)
+    geo = dm.field_function("geo")
+    assert geo(np.array([[0.0, 0.0]]), (3, 4))[0] == 5.0
+    assert geo(np.array([[1.5, 2.5]]), (4.5, 6.5))[0] == 5.0
 
 
 def test_fields_match_point_functions():
+    # every row of a field equals the distance written out for that row alone
     rng = np.random.default_rng(4)
     m = rng.random((40, 4)) * 12
     v = rng.integers(0, 12, 4)
@@ -102,9 +107,10 @@ def test_fields_match_point_functions():
     mf = dm.manhattan_field(m, v)
     sf = dm.semi_manhattan_field(m, v, 10.0)
     for i in range(40):
-        assert ef[i] == pytest.approx(dm.euclidean_vcs(m[i], v))
-        assert mf[i] == pytest.approx(dm.manhattan_vcs(m[i], v))
-        assert sf[i] == pytest.approx(dm.semi_manhattan_vcs(m[i], v, 10.0))
+        diff = [float(x) - float(y) for x, y in zip(m[i], v)]
+        assert ef[i] == pytest.approx(math.sqrt(sum(d * d for d in diff)))
+        assert mf[i] == pytest.approx(sum(abs(d) for d in diff))
+        assert sf[i] == pytest.approx(10.0 * sum(d for d in diff if d > 0) - sum(d for d in diff if d < 0))
 
 
 def test_field_function_selection():

@@ -6,7 +6,6 @@ from routesim.routing import (
     Failure,
     Mode,
     Outcome,
-    PlanarGraph,
     gpsr_route,
     planarize,
     sp_route,
@@ -49,7 +48,7 @@ def test_gpsr_local_minimum_without_planar_neighbor_outranks_spent_ttl():
     # minimum even when the one hop taken has already spent the TTL.
     pos = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [1.0, 1.5]])
     t = topology_from_adjacency(pos, [[1, 3], [], [3], []])
-    pg = PlanarGraph(((3,), (), (3,), (0, 2)), METHOD_GG)
+    pg = topology_from_adjacency(pos, [[3], [], [3], []])
     for ttl in (1, 100):
         rr = gpsr_route(0, 2, t.positions, pg, t, ttl)
         assert rr.path == (0, 1)

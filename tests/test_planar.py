@@ -17,7 +17,7 @@ def test_two_nodes_keep_single_edge():
     t = build_udg(d, 1.0)
     for method in (METHOD_GG, METHOD_RNG):
         pg = planarize(t, t.positions, method)
-        assert pg.edges() == [(0, 1)]
+        assert pg.edges().tolist() == [[0, 1]]
 
 
 def test_unit_square_diagonals_removed():
@@ -31,7 +31,7 @@ def test_unit_square_diagonals_removed():
     assert len(t.adjacency[0]) == 3  # diagonals exist in the topology
     for method in (METHOD_GG, METHOD_RNG):
         pg = planarize(t, t.positions, method)
-        assert sorted(pg.edges()) == [(0, 1), (0, 2), (1, 3), (2, 3)]
+        assert pg.edges().tolist() == [[0, 1], [0, 2], [1, 3], [2, 3]]
 
 
 def test_rng_subset_of_gg():
@@ -39,9 +39,9 @@ def test_rng_subset_of_gg():
         t = build_udg(generate_random(200, 14, 14, seed=seed), 1.4)
         gg = planarize(t, t.positions, METHOD_GG)
         rng_ = planarize(t, t.positions, METHOD_RNG)
-        gg_edges = set(gg.edges())
-        for e in rng_.edges():
-            assert e in gg_edges
+        gg_edges = set(map(tuple, gg.edges().tolist()))
+        for e in rng_.edges().tolist():
+            assert tuple(e) in gg_edges
 
 
 def test_no_proper_crossings_on_random_instances():

@@ -74,7 +74,7 @@ def test_greedy_destination_neighbor_handoff():
 def test_greedy_ttl():
     t = build_udg(generate_grid(1, 30, 1.0), 1.0)
     pos = t.positions
-    dfield = dm.planar_field(pos, pos[29])
+    dfield = dm.euclidean_field(pos, pos[29])
     rr = greedy_route(0, 29, dfield, t, ttl=5)
     assert rr.outcome == Outcome.FAILED and rr.failure_cause == Failure.TTL_EXCEEDED
     assert rr.hops == 5
@@ -86,7 +86,7 @@ def test_greedy_monotone_and_no_revisit():
     pos = t.positions
     for _ in range(60):
         src, dst = rng.integers(0, t.n, 2)
-        dfield = dm.planar_field(pos, pos[dst])
+        dfield = dm.euclidean_field(pos, pos[dst])
         rr = greedy_route(int(src), int(dst), dfield, t, 1000)
         if not rr.delivered:
             continue
@@ -162,7 +162,7 @@ def test_sp_is_stretch_denominator_floor():
     rng = np.random.default_rng(3)
     for _ in range(40):
         src, dst = (int(x) for x in rng.integers(0, t.n, 2))
-        rg = greedy_route(src, dst, dm.planar_field(pos, pos[dst]), t, 2000)
+        rg = greedy_route(src, dst, dm.euclidean_field(pos, pos[dst]), t, 2000)
         rs = sp_route(src, dst, t)
         if rg.delivered and rs.delivered:
             assert rg.hops >= rs.hops

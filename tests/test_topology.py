@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from routesim.topology import (
     Deployment,
@@ -12,6 +13,7 @@ from routesim.topology import (
     generate_random,
     parse_topology,
     perturb_positions,
+    topology_from_adjacency,
 )
 
 
@@ -190,3 +192,74 @@ def test_carve_all_removed_errors():
 def test_deployment_rejects_out_of_bounds():
     with pytest.raises(TopologyError):
         Deployment(np.array([[5.0, 0.5]]), width=1.0, height=1.0)
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, adjacency lists) with repeats, both orientations and isolated nodes."""
+    n = draw(st.integers(1, 40))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
+        max_size=120,
+    ))
+    adjacency = [[] for _ in range(n)]
+    for u, v in pairs:
+        adjacency[u].append(v)
+    return n, adjacency
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists())
+def test_edge_array_views_match_set_reference(case):
+    n, adjacency = case
+    t = topology_from_adjacency(np.zeros((n, 2)), adjacency)
+    ref = [set() for _ in range(n)]
+    for u, nbrs in enumerate(adjacency):
+        for v in nbrs:
+            ref[u].add(v)
+            ref[v].add(u)
+    expect = tuple(tuple(sorted(s)) for s in ref)
+    assert t.adjacency == expect
+    assert all(type(v) is int for nbrs in t.adjacency for v in nbrs)
+    assert t.n_edges == sum(len(s) for s in ref) // 2
+    assert t.edges().tolist() == [[u, v] for u in range(n) for v in expect[u] if u < v]
+    dense = np.zeros((n, n), dtype=np.int8)
+    for u, nbrs in enumerate(expect):
+        dense[u, list(nbrs)] = 1
+    s = t.sparse()
+    assert s.shape == (n, n) and s.has_sorted_indices
+    assert np.array_equal(s.toarray(), dense)
+    ids, mask = t.neighbor_matrix()
+    assert ids.shape == mask.shape == (n, max(1, max(len(a) for a in expect)))
+    for u, nbrs in enumerate(expect):
+        assert ids[u][mask[u]].tolist() == list(nbrs)
+        assert not ids[u][~mask[u]].any()
+    assert not (t.indptr.flags.writeable or t.indices.flags.writeable)
+    assert not (ids.flags.writeable or mask.flags.writeable)
+
+
+@pytest.mark.parametrize("adjacency", [
+    [[1], [1]],          # self loop
+    [[1], [2]],          # neighbor id past the last node
+    [[-1], []],          # negative neighbor id
+    [[1], [0], [0]],     # adjacency lists for more nodes than positions
+])
+def test_explicit_adjacency_rejects_bad_edges(adjacency):
+    with pytest.raises(TopologyError):
+        topology_from_adjacency(np.zeros((2, 2)), adjacency)
+
+
+@pytest.mark.parametrize("edge_lines", ["2 2\n", "0 7\n", "0 1\n-1 0\n"])
+def test_parse_rejects_bad_edges(edge_lines):
+    text = format_topology(build_udg(generate_grid(1, 3, 1.0), 1.2))
+    with pytest.raises(TopologyError):
+        parse_topology(text + edge_lines)
+
+
+def test_parse_normalises_duplicate_and_reversed_edges():
+    t = build_udg(generate_grid(1, 3, 1.0), 1.2)
+    text = format_topology(t)
+    t2 = parse_topology(text + "1 0\n0 1\n2 1\n")
+    assert t2.n_edges == 2
+    assert t2.adjacency == t.adjacency
+    assert format_topology(t2) == text
