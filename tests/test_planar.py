@@ -56,6 +56,7 @@ def test_planar_edge_subset_of_topology():
     t = build_udg(generate_random(150, 12, 12, seed=6), 1.5)
     for method in (METHOD_GG, METHOD_RNG):
         pg = planarize(t, t.positions, method)
+        assert pg.deployment is t.deployment and pg.radio_range == t.radio_range
         for u, nbrs in enumerate(pg.adjacency):
             for v in nbrs:
                 assert v in t.adjacency[u]
