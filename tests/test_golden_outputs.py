@@ -26,7 +26,10 @@ TABLE = Path(__file__).with_name("golden_outputs.json")
 
 COMMANDS = (["gen"], ["eval"], ["map", "5"], ["route", "0", "371"])
 VARIANT_BASE = "grid20_hole29_avcs.cfg"
-VARIANT_PROTOCOLS = ("lcr", "bvr", "gpsr-gg", "gpsr-rng")
+VARIANT_PROTOCOLS = ("lcr", "bvr", "gpsr-gg", "gpsr-rng", "sp")
+# 9 -> 361 crosses the void: lcr backtracks, bvr falls back and floods, gpsr
+# enters perimeter mode; on gpsr-rng 150 -> 220 ends in a perimeter loop.
+VARIANT_COMMANDS = (["--sample", "2000", "eval"], ["route", "9", "361"], ["route", "150", "220"])
 
 
 def _variant_text(protocol: str) -> str:
@@ -42,8 +45,9 @@ def _cases() -> dict[str, tuple[str, list[str]]]:
         for cmd in COMMANDS:
             cases[f"{cfg.name} {' '.join(cmd)}"] = (cfg.read_text(), cmd)
     for protocol in VARIANT_PROTOCOLS:
-        case = f"{VARIANT_BASE}[protocol={protocol},loc_error=0.4] --sample 2000 eval"
-        cases[case] = (_variant_text(protocol), ["--sample", "2000", "eval"])
+        for cmd in VARIANT_COMMANDS:
+            case = f"{VARIANT_BASE}[protocol={protocol},loc_error=0.4] {' '.join(cmd)}"
+            cases[case] = (_variant_text(protocol), cmd)
     return cases
 
 
