@@ -37,6 +37,7 @@ from routesim.coords import (
 from routesim.routing import (
     PROTOCOL_SPECS,
     CoordSource,
+    Failure,
     Mode,
     Outcome,
     ProtocolSpec,
@@ -130,6 +131,8 @@ class ScenarioConfig:
             raise ScenarioError("loc_error must lie in [0, 1]")
         if self.ttl_factor <= 0:
             raise ScenarioError("ttl_factor must be positive")
+        if self.seed < 0:
+            raise ScenarioError("seed must be >= 0")
         if self.sample < 0:
             raise ScenarioError("sample budget must be >= 0")
         if isinstance(self.anchors, str):
@@ -367,18 +370,16 @@ def _eval_group(sc: Scenario, dst: int, srcs: np.ndarray, sp: np.ndarray) -> _Ag
 
     dfield = sc.ctx.dfield(sc.config.protocol, dst)
     if spec.recovery == Recovery.NONE:
-        ok, hops = greedy_walks(greedy_successors(dfield, t, dst), dst)
+        ok, hops, timed_out = greedy_walks(greedy_successors(dfield, t, dst), dst, ttl)
         for src, sp_src in zip(srcs, sp):
-            if ok[src] and hops[src] <= ttl:
+            if ok[src]:
                 stretch = hops[src] / sp_src
                 agg.greedy += 1
                 agg.delivered += 1
                 agg.sum_greedy += stretch
                 agg.sum_all += stretch
-            elif hops[src] >= ttl:
-                agg.failures["ttl-exceeded"] += 1
             else:
-                agg.failures["local-minimum"] += 1
+                agg.failures[Failure.TTL_EXCEEDED if timed_out[src] else Failure.LOCAL_MINIMUM] += 1
         return agg
 
     # Per-pair engines, called by this module's names so they can be traced.

@@ -124,8 +124,6 @@ def route(protocol: str, src: int, dst: int, ctx: RoutingContext) -> RouteResult
     """Dispatch one packet under the scenario's bindings."""
     spec = _spec(protocol)
     t = ctx.topology
-    if src == dst:
-        return finish(src, dst, [src], [])
     if spec.recovery == Recovery.SHORTEST_PATH:
         return sp_route(src, dst, t)
     if spec.recovery == Recovery.PERIMETER:

@@ -6,10 +6,10 @@ one shared field keeps tie-breaking and float behavior identical between
 single-route calls and the harness's bulk evaluation.
 
 The greedy rule has two forms here.  ``greedy_route`` forwards one packet and
-hands every local minimum to an optional recovery episode; the protocols with
-recovery (perimeter mode, beacon fallback) are this loop plus their episode.
-``greedy_successors`` and ``greedy_walks`` apply the same rule to every node
-at once for bulk evaluation of the protocols without recovery.
+hands every local minimum to an optional recovery episode; every protocol is
+this loop plus at most one episode.  ``greedy_successors`` and
+``greedy_walks`` apply the same rule, outcome included, to every node at once
+for bulk evaluation of the protocols without recovery.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from routesim.coords import hop_counts
-from routesim.routing.result import Failure, Mode, RouteResult, finish
+from routesim.routing.result import Failure, Mode, Outcome, RouteResult, finish
 from routesim.topology import Topology
 
 # recover(local minimum, path, modes) -> (resume node, failure or None); it
@@ -97,21 +97,22 @@ def greedy_successors(dfield: np.ndarray, t: Topology, dst: int) -> np.ndarray:
     return succ
 
 
-def greedy_walks(succ: np.ndarray, dst: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node (delivered?, hops to where the walk stops), by pointer jumping.
+def greedy_walks(succ: np.ndarray, dst: int, ttl: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-node (delivered?, hops to where the walk stops, timed out?), by pointer jumping.
 
     Each round doubles how far every pointer reaches (Wyllie 1979).  Greedy
     successors strictly descend the distance field or hand over to dst, so
     the forest has no cycles and the loop ends within ceil(log2 n) rounds.
-    Hops to a local minimum are counted too: a walk that reaches its minimum
-    after >= TTL hops fails as ttl-exceeded, as in greedy_route.
+    Outcomes follow greedy_route: delivered within the TTL, else timed out
+    when the walk stops after >= TTL hops, else stuck at a local minimum.
     """
     nxt = succ
     hops = (succ != np.arange(len(succ))).astype(np.int64)
     while True:
         jumped = nxt[nxt]
         if np.array_equal(jumped, nxt):
-            return nxt == dst, hops
+            delivered = (nxt == dst) & (hops <= ttl)
+            return delivered, hops, ~delivered & (hops >= ttl)
         hops += hops[nxt]
         nxt = jumped
 
@@ -119,21 +120,10 @@ def greedy_walks(succ: np.ndarray, dst: int) -> tuple[np.ndarray, np.ndarray]:
 def sp_route(src: int, dst: int, t: Topology) -> RouteResult:
     """Breadth-first shortest path; the stretch denominator oracle.
 
-    Path reconstruction walks from src toward dst picking, at each step, the
-    lowest-id neighbor one hop closer to dst, so the result is deterministic.
+    Greedy descent of the hop-count field with ties to the lowest id, so the
+    route is deterministic; it is at most n - 1 hops, under the TTL of n.
     """
     dist = hop_counts(t, dst)
     if dist[src] < 0:
-        return RouteResult(src, dst, (src,), (), "failed", None)  # cross-component
-    path = [src]
-    modes: list[str] = []
-    u = src
-    while u != dst:
-        du = dist[u]
-        for v in t.adjacency[u]:
-            if dist[v] == du - 1:
-                u = v
-                break
-        path.append(u)
-        modes.append(Mode.GREEDY)
-    return finish(src, dst, path, modes)
+        return RouteResult(src, dst, (src,), (), Outcome.FAILED, None)  # cross-component
+    return greedy_route(src, dst, dist, t, t.n)

@@ -1,11 +1,10 @@
 """Backtracking and beacon-fallback recovery engines.
 
-Both protocols run plain greedy forwarding while it makes progress and
-recover differently when it stalls: the backtracking engine turns the route
-into an ordered depth-first search with a per-packet visited set; the beacon
-engine is ``greedy_route`` with an episode that walks up the hop-count tree
-of the anchor the destination is closest to and, failing greedy resumption,
-delivers through a scoped flood from that anchor.
+Both protocols are ``greedy_route`` plus one episode at a local minimum: the
+backtracking episode turns the rest of the route into an ordered depth-first
+search with a per-packet visited set; the beacon episode walks up the
+hop-count tree of the anchor the destination is closest to and, failing
+greedy resumption, delivers through a scoped flood from that anchor.
 """
 
 from __future__ import annotations
@@ -14,27 +13,16 @@ import numpy as np
 
 from routesim.coords import VirtualCoords
 from routesim.routing.greedy import greedy_route
-from routesim.routing.result import Failure, Mode, RouteResult, finish
+from routesim.routing.result import Failure, Mode, RouteResult
 from routesim.topology import Topology
 
 
-def lcr_route(src: int, dst: int, dfield: np.ndarray, t: Topology, ttl: int) -> RouteResult:
-    """Depth-first greedy with physical backtracking.
-
-    From each node the packet moves to the unvisited neighbor closest to the
-    destination (even a farther one when no closer exists; such exploratory
-    hops count as backtrack mode).  With every neighbor visited it pops back
-    to the previous hop.  Exhausting the stack means the destination is
-    unreachable from the explored region.
-    """
-    visited = {src}
-    stack = [src]
-    path = [src]
-    modes: list[str] = []
-    u = src
-    while True:
-        if u == dst:
-            return finish(src, dst, path, modes)
+def _backtrack_episode(u: int, dst: int, dfield: np.ndarray, t: Topology,
+                       path: list[int], modes: list[str], ttl: int) -> tuple[int, str | None]:
+    """Depth-first search to the end of the route; returns (last node, failure or None)."""
+    visited = set(path)
+    stack = list(path)
+    while u != dst:
         if dst in t.adjacency[u]:
             best, best_d = dst, dfield[dst]
         else:
@@ -45,7 +33,7 @@ def lcr_route(src: int, dst: int, dfield: np.ndarray, t: Topology, ttl: int) -> 
                     best = v
                     best_d = dfield[v]
         if len(modes) >= ttl:
-            return finish(src, dst, path, modes, Failure.TTL_EXCEEDED)
+            return u, Failure.TTL_EXCEEDED
         if best >= 0:
             mode = Mode.GREEDY if (best_d < dfield[u] or best == dst) else Mode.BACKTRACK
             visited.add(best)
@@ -56,10 +44,28 @@ def lcr_route(src: int, dst: int, dfield: np.ndarray, t: Topology, ttl: int) -> 
         else:
             stack.pop()
             if not stack:
-                return finish(src, dst, path, modes, Failure.BACKTRACK_EXHAUSTED)
+                return u, Failure.BACKTRACK_EXHAUSTED
             u = stack[-1]
             path.append(u)
             modes.append(Mode.BACKTRACK)
+    return dst, None
+
+
+def lcr_route(src: int, dst: int, dfield: np.ndarray, t: Topology, ttl: int) -> RouteResult:
+    """Greedy forwarding, then depth-first search with physical backtracking.
+
+    From the first local minimum the packet moves to the unvisited neighbor
+    closest to the destination (even a farther one when no closer exists;
+    such exploratory hops count as backtrack mode), and with every neighbor
+    visited it pops back to the previous hop.  Exhausting the stack means the
+    destination is unreachable from the explored region.  The greedy prefix
+    strictly descends the field, so a visited set would never have bound on
+    it: the search starts with the prefix as its visited set and stack.
+    """
+    return greedy_route(
+        src, dst, dfield, t, ttl,
+        lambda u, path, modes: _backtrack_episode(u, dst, dfield, t, path, modes, ttl),
+    )
 
 
 def _tree_parent(u: int, col: np.ndarray, t: Topology) -> int:

@@ -306,18 +306,21 @@ def format_topology(t: Topology) -> str:
 
 def parse_topology(text: str) -> Topology:
     """Inverse of format_topology (used by tests and tooling)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "nodes":
+    rows = [ln.split() for ln in text.splitlines() if ln.strip()]
+    try:
+        tag, count, _, width, _, height, _, rng = rows[0]
+        n = int(count)
+        pos = np.zeros((n, 2))
+        ids = []
+        for i, x, y in rows[1:1 + n]:  # a short or long line fails to unpack
+            ids.append(int(i))
+            pos[ids[-1]] = (float(x), float(y))
+        edges = [(int(u), int(v)) for u, v in rows[1 + n:]]
+        width, height, rng = float(width), float(height), float(rng)
+    except (IndexError, ValueError) as e:
+        raise TopologyError(f"malformed topology text: {e}") from None
+    if tag != "nodes":
         raise TopologyError("bad topology header")
-    n = int(head[1])
-    width, height, rng = float(head[3]), float(head[5]), float(head[7])
-    pos = np.zeros((n, 2))
-    for ln in lines[1 : 1 + n]:
-        parts = ln.split()
-        pos[int(parts[0])] = (float(parts[1]), float(parts[2]))
-    edges = []
-    for ln in lines[1 + n :]:
-        u, v = ln.split()
-        edges.append((int(u), int(v)))
+    if sorted(ids) != list(range(n)):
+        raise TopologyError(f"node ids must be 0..{n - 1}, each once")
     return _from_edges(Deployment(pos, width=width, height=height), rng, edges)

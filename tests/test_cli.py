@@ -123,6 +123,27 @@ def test_sweep_malformed_value_exits_2(cfg_file, capsys, axis, value):
     assert captured.err == f"error: bad {axis} value {value!r}\n"
 
 
+@pytest.mark.parametrize("extra, args", [
+    ("deployment = random\nn = 30\nseed = -1\n", ["eval"]),
+    ("deployment = grid\nrows = 5\ncols = 5\nseed = -1\n", ["--sample", "10", "eval"]),
+    ("deployment = grid\nrows = 5\ncols = 5\nloc_error = 0.2\nseed = -104730\n", ["eval"]),
+])
+def test_negative_seed_exits_2(cfg_file, capsys, extra, args):
+    path = cfg_file(extra)
+    assert run_cli(["--config", path, *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert captured.err.endswith("seed must be >= 0\n") and len(captured.err.splitlines()) == 1
+
+
+def test_sweep_negative_seed_is_a_point_error(cfg_file, capsys):
+    path = cfg_file("deployment = random\nn = 30\n")
+    assert run_cli(["--config", path, "sweep", "seed", "-1", "2"]) == 2
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 4  # header, seed 2, mean, std
+    assert captured.err == "sweep point -1: seed must be >= 0\n"
+
+
 def test_coords_dump(cfg_file, capsys):
     path = cfg_file(GRID_CFG.replace("gf-geo", "gf-avcs") + "align_depth = 1\n")
     assert run_cli(["--config", path, "coords"]) == 0

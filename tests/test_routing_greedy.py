@@ -118,21 +118,19 @@ def test_engine_matches_vectorized_successors():
         for dst in rng.integers(0, t.n, 15):
             dst = int(dst)
             dfield = sc.ctx.dfield(cfg.protocol, dst)
-            ok, hops = greedy_walks(greedy_successors(dfield, t, dst), dst)
+            ok, hops, timed_out = greedy_walks(greedy_successors(dfield, t, dst), dst, ttl)
             for src in rng.integers(0, t.n, 40):
                 src = int(src)
                 if src == dst:
                     continue
                 rr = greedy_route(src, dst, dfield, t, ttl)
-                delivered = bool(ok[src]) and hops[src] <= ttl
-                assert rr.delivered == delivered
+                assert rr.delivered == ok[src]
                 # hops to dst or to the local minimum, cut off at the TTL
                 assert rr.hops == min(hops[src], ttl)
-                if not delivered:
-                    timed_out = hops[src] >= ttl
+                if not ok[src]:
                     assert rr.failure_cause == (
-                        Failure.TTL_EXCEEDED if timed_out else Failure.LOCAL_MINIMUM)
-                    seen["ttl" if timed_out else "minimum"] += 1
+                        Failure.TTL_EXCEEDED if timed_out[src] else Failure.LOCAL_MINIMUM)
+                    seen["ttl" if timed_out[src] else "minimum"] += 1
                 seen["long"] += int(hops[src] > 64)
     assert min(seen["ttl"], seen["minimum"], seen["long"]) > 0
 

@@ -256,6 +256,27 @@ def test_parse_rejects_bad_edges(edge_lines):
         parse_topology(text + edge_lines)
 
 
+def _bad_node_lines():
+    text = format_topology(build_udg(generate_grid(1, 3, 1.0), 1.2))
+    head, n0, n1, _, *edges = text.splitlines(keepends=True)
+    return {
+        "id out of range": head + n0 + n1 + "5 2.000000 0.000000\n" + "".join(edges),
+        "negative id": head + n0 + n1 + "-1 2.000000 0.000000\n" + "".join(edges),
+        "missing node line": head + n0 + n1 + "".join(edges),
+        "duplicate id": head + n0 + n1 + n1 + "".join(edges),
+        "3-token edge line": text + "0 1 2\n",
+        "bad coordinate": head + n0 + n1 + "2 x 0.000000\n" + "".join(edges),
+        "empty text": "",
+        "short header": "nodes 3\n",
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_node_lines()))
+def test_parse_rejects_bad_node_lines(case):
+    with pytest.raises(TopologyError):
+        parse_topology(_bad_node_lines()[case])
+
+
 def test_parse_normalises_duplicate_and_reversed_edges():
     t = build_udg(generate_grid(1, 3, 1.0), 1.2)
     text = format_topology(t)
