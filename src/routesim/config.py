@@ -1,7 +1,8 @@
 """Line-oriented ``key = value`` scenario configuration files.
 
 Parsing is total: every accepted file maps onto a valid ScenarioConfig, and
-every rejection names the offending line.  Unknown keys are errors, not
+every rejection names the offending line: for a value the scenario rejects,
+the first line whose key is invalid on its own.  Unknown keys are errors, not
 warnings, so config drift fails loudly.
 """
 
@@ -12,8 +13,11 @@ from routesim.topology import VoidSpec
 
 
 class ConfigError(ValueError):
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"config line {lineno}: {message}")
+    """A rejected config; ``lineno`` is None when no single line is at fault."""
+
+    def __init__(self, lineno: int | None, message: str):
+        where = "config" if lineno is None else f"config line {lineno}"
+        super().__init__(f"{where}: {message}")
         self.lineno = lineno
 
 
@@ -48,6 +52,7 @@ def parse_voids(text: str, lineno: int = 0) -> tuple[VoidSpec, ...]:
 def parse_config(text: str) -> ScenarioConfig:
     """Parse config text into a validated ScenarioConfig."""
     values: dict = {}
+    linenos: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -59,6 +64,7 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(lineno, f"unknown key {key!r}")
         if key in values:
             raise ConfigError(lineno, f"duplicate key {key!r}")
+        linenos[key] = lineno
         try:
             if key in _INT_KEYS:
                 values[key] = int(value)
@@ -80,7 +86,14 @@ def parse_config(text: str) -> ScenarioConfig:
     try:
         return ScenarioConfig(**values)
     except ScenarioError as e:
-        raise ConfigError(0, str(e))
+        whole = e
+    # Blame the first line whose key is invalid on its own.
+    for key, value in values.items():
+        try:
+            ScenarioConfig(**{key: value})
+        except ScenarioError as e:
+            raise ConfigError(linenos[key], str(e)) from None
+    raise ConfigError(None, str(whole)) from None
 
 
 def load_config(path: str) -> ScenarioConfig:

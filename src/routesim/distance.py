@@ -18,6 +18,9 @@ KINDS = ("euclid", "manhattan", "semi", "geo")
 
 DEFAULT_SEMI_WEIGHT = 10.0
 
+# field(coordinate rows, target rows or one target vector) -> distance per row
+FieldFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
 
 def euclidean_field(matrix: np.ndarray, v_dst: np.ndarray) -> np.ndarray:
     d = matrix - np.asarray(v_dst, dtype=float)
@@ -36,7 +39,7 @@ def semi_manhattan_field(matrix: np.ndarray, v_dst: np.ndarray,
     return weight * over + under
 
 
-def field_function(kind: str, weight: float = DEFAULT_SEMI_WEIGHT) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+def field_function(kind: str, weight: float = DEFAULT_SEMI_WEIGHT) -> FieldFn:
     """Field builder for a configured distance kind (config key ``distance``)."""
     if kind in ("euclid", "geo"):
         return euclidean_field

@@ -47,7 +47,7 @@ from routesim.routing import (
     gpsr_route,
     lcr_route,
 )
-from routesim.routing.greedy import greedy_successors, greedy_walks
+from routesim.routing.greedy import greedy_lockstep, greedy_successors, greedy_walks
 from routesim.topology import (
     PerceivedPositions,
     Topology,
@@ -344,55 +344,100 @@ class _Agg:
         self.failures.update(other.failures)
 
 
-def _eval_group(sc: Scenario, dst: int, srcs: np.ndarray, sp: np.ndarray) -> _Agg:
-    """Route every src toward one dst and accumulate metrics.
+# A destination group with k reachable sources among n nodes is routed by
+# greedy_lockstep when k * k < LOCKSTEP_CROSSOVER * n, else by one greedy
+# forest over all n nodes.  Lockstep work grows with k times the route
+# length, which grows like sqrt(n) on a planar deployment of fixed density;
+# the forest's grows with n.  The constant is the measured crossover of the
+# two (CHANGES.md).
+LOCKSTEP_CROSSOVER = 0.25
 
-    ``sp[i]`` is the shortest-path hop count from ``srcs[i]`` to dst.
+
+def _eval_run(sc: Scenario, srcs: np.ndarray, groups: list[tuple[int, int, int]]) -> list[_Agg]:
+    """Route a contiguous run of destination groups; one partial per group.
+
+    A group ``(dst, lo, hi)`` holds the pairs ``(srcs[i], dst)`` for i in
+    [lo, hi), with shortest-path hops ``sc.sampled_hops[i]``.  Greedy
+    outcomes of every pair come from the bulk kernels: the sparse groups of
+    the run share greedy_lockstep batches, each dense group gets its own
+    greedy forest.  Recovery protocols then run their per-pair engine on the
+    pairs greedy did not deliver, which is exact: every engine is
+    greedy_route plus an episode at a local minimum.
     """
-    agg = _Agg()
+    if not groups:
+        return []
     spec = sc.config.spec
     t = sc.topology
-    ttl = sc.ctx.ttl
-    reach = np.isfinite(sp)
-    agg.excluded += int((~reach).sum())
-    srcs = srcs[reach]
-    sp = sp[reach]
-    agg.evaluated += len(srcs)
-    if len(srcs) == 0:
-        return agg
+    base, end = groups[0][1], groups[-1][2]
+    reach = np.isfinite(sc.sampled_hops[base:end])
+    sizes = [hi - lo for _, lo, hi in groups]
+    sources = np.add.reduceat(reach.astype(np.int64), [lo - base for _, lo, _ in groups])
+    lock = sources * sources < LOCKSTEP_CROSSOVER * t.n
+    if spec.recovery != Recovery.SHORTEST_PATH and lock.any():
+        pick = reach & np.repeat(lock, sizes)
+        dsts = np.repeat([dst for dst, _, _ in groups], sizes)[pick]
+        stepped = greedy_lockstep(srcs[base:end][pick], dsts,
+                                  *sc.ctx.field_inputs(sc.config.protocol), t, sc.ctx.ttl)
+    partials = []
+    at = 0
+    for (dst, lo, hi), use in zip(groups, lock.tolist()):
+        r = reach[lo - base:hi - base]
+        s = srcs[lo:hi][r]
+        excluded = hi - lo - len(s)
+        if spec.recovery == Recovery.SHORTEST_PATH:
+            partials.append(_shortest_path_group(len(s), excluded))
+            continue
+        if use:
+            outcome = [a[at:at + len(s)] for a in stepped]
+            at += len(s)
+            dfield = None
+        else:
+            dfield = sc.ctx.dfield(sc.config.protocol, dst)
+            walks = greedy_walks(greedy_successors(dfield, t, dst), dst, sc.ctx.ttl)
+            outcome = [a[s] for a in walks]
+        sp = sc.sampled_hops[lo:hi][r]
+        partials.append(_eval_group(sc, dst, s, sp, excluded, outcome, dfield))
+    return partials
 
-    if spec.recovery == Recovery.SHORTEST_PATH:
-        agg.greedy += len(srcs)
-        agg.delivered += len(srcs)
-        agg.sum_greedy += float(len(srcs))
-        agg.sum_all += float(len(srcs))
-        return agg
 
-    dfield = sc.ctx.dfield(sc.config.protocol, dst)
-    if spec.recovery == Recovery.NONE:
-        ok, hops, timed_out = greedy_walks(greedy_successors(dfield, t, dst), dst, ttl)
-        for src, sp_src in zip(srcs, sp):
-            if ok[src]:
-                stretch = hops[src] / sp_src
-                agg.greedy += 1
-                agg.delivered += 1
-                agg.sum_greedy += stretch
-                agg.sum_all += stretch
-            else:
-                agg.failures[Failure.TTL_EXCEEDED if timed_out[src] else Failure.LOCAL_MINIMUM] += 1
-        return agg
+def _shortest_path_group(evaluated: int, excluded: int) -> _Agg:
+    agg = _Agg()
+    agg.excluded = excluded
+    agg.evaluated = agg.greedy = agg.delivered = evaluated
+    agg.sum_greedy = agg.sum_all = float(evaluated)
+    return agg
 
-    # Per-pair engines, called by this module's names so they can be traced.
-    if spec.recovery == Recovery.PERIMETER:
-        pg = sc.ctx.planar(spec.planar)
-        pos = sc.ctx.geo_positions
-        results = (gpsr_route(int(s), dst, pos, pg, t, ttl, dfield=dfield) for s in srcs)
-    elif spec.recovery == Recovery.BACKTRACK:
-        results = (lcr_route(int(s), dst, dfield, t, ttl) for s in srcs)
-    else:
-        results = (bvr_route(int(s), dst, dfield, sc.vc, t, ttl) for s in srcs)
 
-    for sp_src, rr in zip(sp, results):
+def _eval_group(sc: Scenario, dst: int, srcs: np.ndarray, sp: np.ndarray, excluded: int,
+                outcome: list[np.ndarray], dfield: np.ndarray | None) -> _Agg:
+    """Accumulate one destination group's metrics in src order.
+
+    ``sp[i]`` is the shortest-path hop count from ``srcs[i]`` to dst and
+    ``outcome`` the greedy (delivered, hops, timed out) of each pair.
+    ``dfield`` is built on first need when None.
+    """
+    agg = _Agg()
+    agg.excluded = excluded
+    agg.evaluated = len(srcs)
+    recovery = sc.config.spec.recovery
+    engine = None
+    for src, sp_src, ok, hops, timed_out in zip(srcs.tolist(), sp.tolist(),
+                                                *(a.tolist() for a in outcome)):
+        if ok:
+            stretch = hops / sp_src
+            agg.greedy += 1
+            agg.delivered += 1
+            agg.sum_greedy += stretch
+            agg.sum_all += stretch
+            continue
+        if recovery == Recovery.NONE:
+            agg.failures[Failure.TTL_EXCEEDED if timed_out else Failure.LOCAL_MINIMUM] += 1
+            continue
+        if engine is None:
+            if dfield is None:
+                dfield = sc.ctx.dfield(sc.config.protocol, dst)
+            engine = _engine(sc, dst, dfield)
+        rr = engine(src)
         if rr.delivered:
             stretch = rr.hops / sp_src
             agg.delivered += 1
@@ -405,6 +450,23 @@ def _eval_group(sc: Scenario, dst: int, srcs: np.ndarray, sp: np.ndarray) -> _Ag
         else:
             agg.failures[rr.failure_cause or "unreachable"] += 1
     return agg
+
+
+def _engine(sc: Scenario, dst: int, dfield: np.ndarray):
+    """The recovery protocol's per-pair engine toward dst, as a function of src.
+
+    Engines are called by this module's names so they can be traced.
+    """
+    spec = sc.config.spec
+    t = sc.topology
+    ttl = sc.ctx.ttl
+    if spec.recovery == Recovery.PERIMETER:
+        pg = sc.ctx.planar(spec.planar)
+        pos = sc.ctx.geo_positions
+        return lambda src: gpsr_route(src, dst, pos, pg, t, ttl, dfield=dfield)
+    if spec.recovery == Recovery.BACKTRACK:
+        return lambda src: lcr_route(src, dst, dfield, t, ttl)
+    return lambda src: bvr_route(src, dst, dfield, sc.vc, t, ttl)
 
 
 def _episodes(rr):
@@ -506,8 +568,7 @@ def evaluate_scenario(sc: Scenario, workers: int = 1) -> MetricsRow:
     bounds = np.flatnonzero(np.diff(dsts, prepend=-1)).tolist() + [len(dsts)]
     groups = [(int(dsts[lo]), lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if workers <= 1:
-        partials = [_eval_group(sc, dst, srcs[lo:hi], sc.sampled_hops[lo:hi])
-                    for dst, lo, hi in groups]
+        partials = _eval_run(sc, srcs, groups)
     else:
         partials = _parallel_eval(sc, srcs, groups, workers)
     total = _Agg()
@@ -544,22 +605,24 @@ _FORK_SCENARIO: Scenario | None = None
 _FORK_SRCS: np.ndarray | None = None
 
 
-def _fork_worker(group: tuple[int, int, int]) -> _Agg:
-    dst, lo, hi = group
-    return _eval_group(_FORK_SCENARIO, dst, _FORK_SRCS[lo:hi], _FORK_SCENARIO.sampled_hops[lo:hi])
+def _fork_worker(run: list[tuple[int, int, int]]) -> list[_Agg]:
+    return _eval_run(_FORK_SCENARIO, _FORK_SRCS, run)
 
 
 def _parallel_eval(sc: Scenario, srcs: np.ndarray, groups, workers: int) -> list[_Agg]:
-    """Fork-based pool; partials come back in ascending dst order, so the
-    reduced result is byte-identical to a serial run."""
+    """Fork-based pool over contiguous runs of groups, each evaluated as a
+    serial run is; partials come back in ascending dst order, so the reduced
+    result is byte-identical to a serial run."""
     import multiprocessing as mp
 
     global _FORK_SCENARIO, _FORK_SRCS
+    size = max(1, -(-len(groups) // (workers * 4)))
+    runs = [groups[i:i + size] for i in range(0, len(groups), size)]
     _FORK_SCENARIO = sc
     _FORK_SRCS = srcs
     try:
         with mp.get_context("fork").Pool(processes=workers) as pool:
-            return pool.map(_fork_worker, groups, chunksize=max(1, len(groups) // (workers * 4)))
+            return [part for parts in pool.map(_fork_worker, runs, chunksize=1) for part in parts]
     finally:
         _FORK_SCENARIO = None
         _FORK_SRCS = None

@@ -11,6 +11,7 @@ the engine from a protocol's spec and hands it the right distance field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -100,24 +101,34 @@ class RoutingContext:
             self._planar[method] = pg
         return pg
 
-    def dfield(self, protocol: str, dst: int) -> np.ndarray:
-        """Distance of every node's local coordinates to the destination's.
+    def field_inputs(self, protocol: str) -> tuple[np.ndarray, np.ndarray, dist_mod.FieldFn]:
+        """(local coordinates, destination vectors, field function) of a protocol.
 
+        Node u compares row u of the first with row dst of the second.
         Packets on virtual coordinate systems carry the destination's integer
-        vector, so the right-hand side is always V(dst) there; geographic
-        protocols compare believed positions.
+        vector, so the destination vectors are always the raw VCS there;
+        geographic protocols compare believed positions.
         """
         spec = _spec(protocol)
         if spec.coords == CoordSource.GEO:
-            local, target = self.geo_positions, self.geo_positions[dst]
+            local = targets = self.geo_positions
         elif self.vc is None:
             raise ProtocolError(f"{protocol} needs virtual coordinates")
         else:
+            targets = self._vcs_float
             aligned = spec.coords == CoordSource.ALIGNED and self.av is not None
-            local = self.av.matrix if aligned else self.vc.matrix.astype(float)
-            target = self.vc.matrix[dst].astype(float)
-        fn = dist_mod.field_function(spec.distance or self.distance_kind, self.semi_weight)
-        return fn(local, target)
+            local = self.av.matrix if aligned else targets
+        return local, targets, dist_mod.field_function(spec.distance or self.distance_kind,
+                                                       self.semi_weight)
+
+    def dfield(self, protocol: str, dst: int) -> np.ndarray:
+        """Distance of every node's local coordinates to the destination's."""
+        local, targets, fn = self.field_inputs(protocol)
+        return fn(local, targets[dst])
+
+    @cached_property
+    def _vcs_float(self) -> np.ndarray:
+        return self.vc.matrix.astype(float)
 
 
 def route(protocol: str, src: int, dst: int, ctx: RoutingContext) -> RouteResult:

@@ -5,11 +5,12 @@ distance from u's coordinates to the destination's coordinate vector.  Using
 one shared field keeps tie-breaking and float behavior identical between
 single-route calls and the harness's bulk evaluation.
 
-The greedy rule has two forms here.  ``greedy_route`` forwards one packet and
-hands every local minimum to an optional recovery episode; every protocol is
-this loop plus at most one episode.  ``greedy_successors`` and
-``greedy_walks`` apply the same rule, outcome included, to every node at once
-for bulk evaluation of the protocols without recovery.
+The greedy rule has three forms here.  ``greedy_route`` forwards one packet
+and hands every local minimum to an optional recovery episode; every protocol
+is this loop plus at most one episode.  For bulk evaluation the same rule,
+outcome included, runs vectorized: ``greedy_successors`` and ``greedy_walks``
+resolve every node's walk toward one destination at once, and
+``greedy_lockstep`` advances a set of (src, dst) pairs one hop per step.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from routesim.coords import hop_counts
+from routesim.distance import FieldFn
 from routesim.routing.result import Failure, Mode, Outcome, RouteResult, finish
 from routesim.topology import Topology
 
@@ -115,6 +117,64 @@ def greedy_walks(succ: np.ndarray, dst: int, ttl: int) -> tuple[np.ndarray, np.n
             return delivered, hops, ~delivered & (hops >= ttl)
         hops += hops[nxt]
         nxt = jumped
+
+
+# Pairs greedy_lockstep advances together: its temporaries hold at most
+# LOCKSTEP_BATCH * (max degree + 1) coordinate rows.
+LOCKSTEP_BATCH = 1024
+
+
+def greedy_lockstep(srcs: np.ndarray, dsts: np.ndarray, coords: np.ndarray, targets: np.ndarray,
+                    field: FieldFn, t: Topology, ttl: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-pair (delivered?, hops, timed out?) of greedy forwarding, one hop per step for all pairs.
+
+    Node u compares ``coords[u]`` with ``targets[dst]`` under ``field``, the
+    protocol's distance field function.  Each step evaluates the field on
+    the gathered rows of the current nodes and their neighbors, one row per
+    (pair, candidate), so every distance is the float its full-field entry
+    would be.  Ties go to the lowest id, a neighboring destination takes the
+    packet directly and the TTL is checked before each hop, as in
+    greedy_route.  Hops are counted up to where the walk stops or to the
+    TTL, whichever comes first; outcomes otherwise match greedy_walks.
+    """
+    srcs = np.asarray(srcs, dtype=np.int64)
+    dsts = np.asarray(dsts, dtype=np.int64)
+    delivered = np.zeros(len(srcs), dtype=bool)
+    hops = np.zeros(len(srcs), dtype=np.int64)
+    timed_out = np.zeros(len(srcs), dtype=bool)
+    ids, mask = t.neighbor_matrix()
+    width = ids.shape[1] + 1      # the neighbors, then the current node itself
+    for lo in range(0, len(srcs), LOCKSTEP_BATCH):
+        live = np.arange(lo, min(lo + LOCKSTEP_BATCH, len(srcs)))
+        cur = srcs[live]
+        dst = dsts[live]
+        step = 0                  # hops made so far, the same for every live pair
+        while True:
+            arrived = cur == dst
+            delivered[live[arrived]] = True
+            hops[live[arrived]] = step
+            live, cur, dst = live[~arrived], cur[~arrived], dst[~arrived]
+            m = len(live)
+            if m == 0:
+                break
+            if step >= ttl:       # checked before each hop: every walk still out ends here
+                hops[live] = step
+                timed_out[live] = True
+                break
+            rows = np.concatenate((ids[cur], cur[:, None]), axis=1)
+            vals = field(np.take(coords, rows.ravel(), axis=0),
+                         np.repeat(targets[dst], width, axis=0)).reshape(m, width)
+            nbr = mask[cur]
+            near = np.where(nbr, vals[:, :-1], np.inf)
+            am = np.argmin(near, axis=1)
+            at = np.arange(m)
+            nxt = np.where(near[at, am] < vals[:, -1], rows[at, am], -1)
+            nxt = np.where(((rows[:, :-1] == dst[:, None]) & nbr).any(axis=1), dst, nxt)
+            stuck = nxt < 0       # a local minimum before the TTL ran out
+            hops[live[stuck]] = step
+            live, cur, dst = live[~stuck], nxt[~stuck], dst[~stuck]
+            step += 1
+    return delivered, hops, timed_out
 
 
 def sp_route(src: int, dst: int, t: Topology) -> RouteResult:

@@ -1,5 +1,6 @@
 import pytest
 
+from routesim.cli import main
 from routesim.config import ConfigError, parse_config, parse_voids
 from routesim.harness import ScenarioConfig
 
@@ -80,3 +81,18 @@ def test_parse_voids_variants():
 def test_semantic_error_reported():
     with pytest.raises(ConfigError):
         parse_config("protocol = not-a-protocol\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("deployment = grid\nrows = 5\nseed = -1\n", "config line 3: seed must be >= 0"),
+    ("protocol = gf-vcs\ndims = 5\n", "config line 2: corner anchors support 3 or 4 dims"),
+    ("seed = -1\nprotocol = nope\n", "config line 1: seed must be >= 0"),
+])
+def test_semantic_error_names_the_line_of_its_key(text, message, tmp_path, capsys):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == message
+    path = tmp_path / "scenario.cfg"
+    path.write_text(text)
+    assert main(["--config", str(path), "eval"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

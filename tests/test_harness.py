@@ -23,6 +23,7 @@ from routesim.harness import (
     ScenarioConfig,
     ScenarioError,
     distance_map,
+    _sampled_pairs,
     evaluate,
     evaluate_scenario,
     fig_map_config,
@@ -71,7 +72,9 @@ def test_workers_do_not_change_output():
     for cfg in (small_grid("lcr", sample=500, seed=3, voids=void),
                 small_grid("bvr", sample=500, seed=3, voids=void),
                 ScenarioConfig(protocol="gpsr-rng", **split),
-                ScenarioConfig(protocol="gf-geo", **split)):
+                ScenarioConfig(protocol="gf-geo", **split),
+                # about three sources per destination: greedy_lockstep for most groups
+                small_grid("gf-avcs", sample=180, seed=3, voids=void, align_depth=1)):
         serial = evaluate(cfg, workers=1)
         parallel = evaluate(cfg, workers=2)
         assert serial == parallel, cfg.protocol
@@ -80,7 +83,7 @@ def test_workers_do_not_change_output():
         assert serial.excluded_pairs == parallel.excluded_pairs
         if cfg.deployment == "random":
             assert serial.excluded_pairs > 0 and serial.failures, cfg.protocol
-        if cfg.protocol != "gf-geo":
+        if not cfg.protocol.startswith("gf-"):
             # delivered routes had complementary episodes to defer
             assert not math.isnan(serial.stretch_complementary), cfg.protocol
 
@@ -283,12 +286,12 @@ def test_perceived_positions_only_affect_geo_side():
 
 
 def _per_pair_metrics(sc):
-    """Aggregate one routing.route call per ordered pair, as the CSV defines it."""
+    """Aggregate one routing.route call per evaluated pair, as the CSV defines it."""
     hops = sc.hop_matrix()
     pairs = excluded = greedy = delivered = episodes = 0
     sum_greedy = sum_all = sum_comp = 0.0
     failures = Counter()
-    for dst, src in itertools.permutations(range(sc.topology.n), 2):
+    for src, dst in zip(*(a.tolist() for a in _sampled_pairs(sc))):
         sp = hops[src, dst]
         if not np.isfinite(sp):
             excluded += 1
@@ -321,15 +324,26 @@ def _per_pair_metrics(sc):
 @given(protocol=st.sampled_from(PROTOCOLS), n=st.integers(6, 34),
        radio_range=st.floats(1.2, 2.6), seed=st.integers(1, 10_000),
        ttl_factor=st.sampled_from((0.6, 1.0, 4.0)), loc_error=st.sampled_from((0.0, 0.4)),
-       align_depth=st.integers(0, 2), distance=st.sampled_from(("euclid", "manhattan", "semi")))
+       align_depth=st.integers(0, 2), distance=st.sampled_from(("euclid", "manhattan", "semi")),
+       sample_per_node=st.sampled_from((0, 1, 3)))
 @example(protocol="gf-geo", n=34, radio_range=1.375, seed=1, ttl_factor=0.6, loc_error=0.0,
-         align_depth=0, distance="euclid")
+         align_depth=0, distance="euclid", sample_per_node=0)
+# Sampled, with lockstep pairs cut off by the TTL in the greedy prefix,
+# lockstep pairs stalled at a local minimum, and forest groups.
+@example(protocol="lcr", n=34, radio_range=1.6, seed=4, ttl_factor=0.6, loc_error=0.4,
+         align_depth=1, distance="euclid", sample_per_node=3)
+@example(protocol="bvr", n=34, radio_range=1.6, seed=4, ttl_factor=0.6, loc_error=0.4,
+         align_depth=1, distance="euclid", sample_per_node=3)
+@example(protocol="gpsr-rng", n=34, radio_range=1.4, seed=3, ttl_factor=0.6, loc_error=0.4,
+         align_depth=1, distance="euclid", sample_per_node=3)
 def test_bulk_evaluation_matches_per_pair_routes(protocol, n, radio_range, seed, ttl_factor,
-                                                 loc_error, align_depth, distance):
+                                                 loc_error, align_depth, distance, sample_per_node):
+    """All pairs route through greedy forests; sampled pairs mostly through
+    greedy_lockstep, with a forest for each destination that drew many sources."""
     cfg = ScenarioConfig(deployment="random", n=n, width=6.0, height=6.0,
                          radio_range=radio_range, protocol=protocol, seed=seed,
                          ttl_factor=ttl_factor, loc_error=loc_error,
-                         align_depth=align_depth, distance=distance)
+                         align_depth=align_depth, distance=distance, sample=sample_per_node * n)
     try:
         sc = Scenario.build(cfg)
     except CoordsError:  # virtual coordinates need a connected graph

@@ -1,8 +1,10 @@
 from collections import Counter
 
 import numpy as np
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from routesim import distance as dm
+from routesim.coords import CoordsError
 from routesim.harness import ABC_A, ABC_B, ABC_C, Scenario, ScenarioConfig, fixture_abc
 from routesim.routing import (
     Failure,
@@ -11,7 +13,7 @@ from routesim.routing import (
     greedy_route,
     sp_route,
 )
-from routesim.routing.greedy import greedy_successors, greedy_walks
+from routesim.routing.greedy import LOCKSTEP_BATCH, greedy_lockstep, greedy_successors, greedy_walks
 from routesim.topology import (
     VoidSpec,
     build_udg,
@@ -119,20 +121,56 @@ def test_engine_matches_vectorized_successors():
             dst = int(dst)
             dfield = sc.ctx.dfield(cfg.protocol, dst)
             ok, hops, timed_out = greedy_walks(greedy_successors(dfield, t, dst), dst, ttl)
-            for src in rng.integers(0, t.n, 40):
-                src = int(src)
+            srcs = rng.integers(0, t.n, 40)
+            stepped = zip(*greedy_lockstep(srcs, np.full(len(srcs), dst),
+                                           *sc.ctx.field_inputs(cfg.protocol), t, ttl))
+            for src, (step_ok, step_hops, step_timed_out) in zip(srcs.tolist(), stepped):
                 if src == dst:
                     continue
                 rr = greedy_route(src, dst, dfield, t, ttl)
-                assert rr.delivered == ok[src]
+                assert rr.delivered == ok[src] == step_ok
                 # hops to dst or to the local minimum, cut off at the TTL
-                assert rr.hops == min(hops[src], ttl)
+                assert rr.hops == min(hops[src], ttl) == step_hops
+                assert timed_out[src] == step_timed_out
                 if not ok[src]:
                     assert rr.failure_cause == (
                         Failure.TTL_EXCEEDED if timed_out[src] else Failure.LOCAL_MINIMUM)
                     seen["ttl" if timed_out[src] else "minimum"] += 1
                 seen["long"] += int(hops[src] > 64)
     assert min(seen["ttl"], seen["minimum"], seen["long"]) > 0
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(grid=st.booleans(), side=st.integers(3, 8), radio_range=st.floats(1.0, 2.4),
+       seed=st.integers(0, 10_000), protocol=st.sampled_from(("gf-vcs", "gf-avcs", "gf-geo")),
+       loc_error=st.sampled_from((0.0, 0.4)), distance=st.sampled_from(("euclid", "manhattan", "semi")),
+       ttl_factor=st.sampled_from((0.6, 1.0, 4.0)),
+       pairs=st.sampled_from((1, 7, LOCKSTEP_BATCH - 1, LOCKSTEP_BATCH, 2 * LOCKSTEP_BATCH + 3)))
+def test_lockstep_matches_greedy_walks(grid, side, radio_range, seed, protocol, loc_error,
+                                       distance, ttl_factor, pairs):
+    """Grids give integer coordinate ties; batch-sized pair counts cross a batch boundary."""
+    layout = (dict(deployment="grid", rows=side, cols=side + 2) if grid else
+              dict(deployment="random", n=side * (side + 2), width=6.0, height=6.0))
+    cfg = ScenarioConfig(radio_range=radio_range, protocol=protocol, seed=seed,
+                         loc_error=loc_error, distance=distance, ttl_factor=ttl_factor,
+                         align_depth=1, **layout)
+    try:
+        sc = Scenario.build(cfg)
+    except CoordsError:  # virtual coordinates need a connected graph
+        assume(False)
+    t = sc.topology
+    rng = np.random.default_rng(seed)
+    srcs = rng.integers(0, t.n, pairs)
+    dsts = rng.integers(0, t.n, pairs)
+    ok, hops, timed_out = greedy_lockstep(srcs, dsts, *sc.ctx.field_inputs(protocol), t, sc.ctx.ttl)
+    for dst in np.unique(dsts).tolist():
+        walk_ok, walk_hops, walk_timed_out = greedy_walks(
+            greedy_successors(sc.ctx.dfield(protocol, dst), t, dst), dst, sc.ctx.ttl)
+        at = np.flatnonzero(dsts == dst)
+        src = srcs[at]
+        assert np.array_equal(ok[at], walk_ok[src])
+        assert np.array_equal(hops[at], np.minimum(walk_hops[src], sc.ctx.ttl))
+        assert np.array_equal(timed_out[at], walk_timed_out[src])
 
 
 def test_sp_route_basics():
