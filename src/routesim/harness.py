@@ -13,7 +13,7 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy.sparse.csgraph import shortest_path
@@ -39,7 +39,6 @@ from routesim.routing import (
     CoordSource,
     Failure,
     Mode,
-    Outcome,
     ProtocolSpec,
     Recovery,
     RoutingContext,
@@ -313,35 +312,14 @@ class MetricsRow:
         )
 
 
-class _Agg:
-    """Per-destination accumulator; partials are reduced in ascending dst order.
+class _Outcomes(NamedTuple):
+    """Outcomes of a run of destination groups, per pair in (dst, src) order."""
 
-    Complementary episodes are kept as (entry, end, hops) and divided only
-    after every group is routed, by one oracle call over all of them.
-    """
-
-    __slots__ = ("evaluated", "excluded", "greedy", "delivered",
-                 "sum_greedy", "sum_all", "episodes", "failures")
-
-    def __init__(self):
-        self.evaluated = 0
-        self.excluded = 0
-        self.greedy = 0
-        self.delivered = 0
-        self.sum_greedy = 0.0
-        self.sum_all = 0.0
-        self.episodes: list[tuple[int, int, int]] = []
-        self.failures: Counter = Counter()
-
-    def merge(self, other: "_Agg") -> None:
-        """Add other's counts and sums; episodes stay with their group."""
-        self.evaluated += other.evaluated
-        self.excluded += other.excluded
-        self.greedy += other.greedy
-        self.delivered += other.delivered
-        self.sum_greedy += other.sum_greedy
-        self.sum_all += other.sum_all
-        self.failures.update(other.failures)
+    greedy: np.ndarray       # delivered by greedy alone
+    delivered: np.ndarray
+    hops: np.ndarray         # length of the delivered route, else 0
+    failures: Counter        # cause -> reachable pairs that were not delivered
+    episodes: np.ndarray     # complementary episodes as rows (dst, entry, end, hops)
 
 
 # A destination group with k reachable sources among n nodes is routed by
@@ -353,8 +331,8 @@ class _Agg:
 LOCKSTEP_CROSSOVER = 0.25
 
 
-def _eval_run(sc: Scenario, srcs: np.ndarray, groups: list[tuple[int, int, int]]) -> list[_Agg]:
-    """Route a contiguous run of destination groups; one partial per group.
+def _eval_run(sc: Scenario, srcs: np.ndarray, groups: list[tuple[int, int, int]]) -> _Outcomes:
+    """Route a contiguous run of destination groups.
 
     A group ``(dst, lo, hi)`` holds the pairs ``(srcs[i], dst)`` for i in
     [lo, hi), with shortest-path hops ``sc.sampled_hops[i]``.  Greedy
@@ -362,94 +340,65 @@ def _eval_run(sc: Scenario, srcs: np.ndarray, groups: list[tuple[int, int, int]]
     the run share greedy_lockstep batches, each dense group gets its own
     greedy forest.  Recovery protocols then run their per-pair engine on the
     pairs greedy did not deliver, which is exact: every engine is
-    greedy_route plus an episode at a local minimum.
+    greedy_route plus an episode at a local minimum.  A destination's field
+    is built once, only for a dense group or a stalled pair, and is released
+    when the next group's replaces it.
     """
-    if not groups:
-        return []
     spec = sc.config.spec
     t = sc.topology
-    base, end = groups[0][1], groups[-1][2]
-    reach = np.isfinite(sc.sampled_hops[base:end])
-    sizes = [hi - lo for _, lo, hi in groups]
-    sources = np.add.reduceat(reach.astype(np.int64), [lo - base for _, lo, _ in groups])
+    ttl = sc.ctx.ttl
+    base, end = (groups[0][1], groups[-1][2]) if groups else (0, 0)
+    sp = sc.sampled_hops[base:end]
+    reach = np.isfinite(sp)
+    if spec.recovery == Recovery.SHORTEST_PATH:
+        return _Outcomes(reach, reach, np.where(reach, sp, 0).astype(np.int64), Counter(),
+                         np.empty((0, 4), dtype=np.int64))
+    run_srcs = srcs[base:end]
+    sizes = np.array([hi - lo for _, lo, hi in groups], dtype=np.int64)
+    group_of = np.repeat(np.arange(len(groups)), sizes)
+    sources = np.bincount(group_of[reach], minlength=len(groups))
     lock = sources * sources < LOCKSTEP_CROSSOVER * t.n
-    if spec.recovery != Recovery.SHORTEST_PATH and lock.any():
-        pick = reach & np.repeat(lock, sizes)
-        dsts = np.repeat([dst for dst, _, _ in groups], sizes)[pick]
-        stepped = greedy_lockstep(srcs[base:end][pick], dsts,
-                                  *sc.ctx.field_inputs(sc.config.protocol), t, sc.ctx.ttl)
-    partials = []
-    at = 0
-    for (dst, lo, hi), use in zip(groups, lock.tolist()):
-        r = reach[lo - base:hi - base]
-        s = srcs[lo:hi][r]
-        excluded = hi - lo - len(s)
-        if spec.recovery == Recovery.SHORTEST_PATH:
-            partials.append(_shortest_path_group(len(s), excluded))
+    greedy = np.zeros(len(sp), dtype=bool)
+    hops = np.zeros(len(sp), dtype=np.int64)
+    timed_out = np.zeros(len(sp), dtype=bool)
+    pick = reach & lock[group_of]
+    if pick.any():
+        dsts = np.repeat([dst for dst, _, _ in groups], sizes)
+        greedy[pick], hops[pick], timed_out[pick] = greedy_lockstep(
+            run_srcs[pick], dsts[pick], *sc.ctx.field_inputs(sc.config.protocol), t, ttl)
+    recover = spec.recovery != Recovery.NONE
+    active = ~lock
+    if recover:
+        active |= np.bincount(group_of[reach & ~greedy], minlength=len(groups)) > 0
+    rescued = np.zeros(len(sp), dtype=bool)
+    failures: Counter = Counter()
+    episodes = []
+    for g in np.flatnonzero(active).tolist():
+        dst, lo, hi = groups[g]
+        pairs = np.flatnonzero(reach[lo - base:hi - base]) + (lo - base)
+        dfield = sc.ctx.dfield(sc.config.protocol, dst)
+        if not lock[g]:
+            walks = greedy_walks(greedy_successors(dfield, t, dst), dst, ttl)
+            greedy[pairs], hops[pairs], timed_out[pairs] = (a[run_srcs[pairs]] for a in walks)
+        stalled = pairs[~greedy[pairs]].tolist()
+        if not recover or not stalled:
             continue
-        if use:
-            outcome = [a[at:at + len(s)] for a in stepped]
-            at += len(s)
-            dfield = None
-        else:
-            dfield = sc.ctx.dfield(sc.config.protocol, dst)
-            walks = greedy_walks(greedy_successors(dfield, t, dst), dst, sc.ctx.ttl)
-            outcome = [a[s] for a in walks]
-        sp = sc.sampled_hops[lo:hi][r]
-        partials.append(_eval_group(sc, dst, s, sp, excluded, outcome, dfield))
-    return partials
-
-
-def _shortest_path_group(evaluated: int, excluded: int) -> _Agg:
-    agg = _Agg()
-    agg.excluded = excluded
-    agg.evaluated = agg.greedy = agg.delivered = evaluated
-    agg.sum_greedy = agg.sum_all = float(evaluated)
-    return agg
-
-
-def _eval_group(sc: Scenario, dst: int, srcs: np.ndarray, sp: np.ndarray, excluded: int,
-                outcome: list[np.ndarray], dfield: np.ndarray | None) -> _Agg:
-    """Accumulate one destination group's metrics in src order.
-
-    ``sp[i]`` is the shortest-path hop count from ``srcs[i]`` to dst and
-    ``outcome`` the greedy (delivered, hops, timed out) of each pair.
-    ``dfield`` is built on first need when None.
-    """
-    agg = _Agg()
-    agg.excluded = excluded
-    agg.evaluated = len(srcs)
-    recovery = sc.config.spec.recovery
-    engine = None
-    for src, sp_src, ok, hops, timed_out in zip(srcs.tolist(), sp.tolist(),
-                                                *(a.tolist() for a in outcome)):
-        if ok:
-            stretch = hops / sp_src
-            agg.greedy += 1
-            agg.delivered += 1
-            agg.sum_greedy += stretch
-            agg.sum_all += stretch
-            continue
-        if recovery == Recovery.NONE:
-            agg.failures[Failure.TTL_EXCEEDED if timed_out else Failure.LOCAL_MINIMUM] += 1
-            continue
-        if engine is None:
-            if dfield is None:
-                dfield = sc.ctx.dfield(sc.config.protocol, dst)
-            engine = _engine(sc, dst, dfield)
-        rr = engine(src)
-        if rr.delivered:
-            stretch = rr.hops / sp_src
-            agg.delivered += 1
-            agg.sum_all += stretch
-            if rr.outcome == Outcome.DELIVERED_GREEDY:
-                agg.greedy += 1
-                agg.sum_greedy += stretch
+        engine = _engine(sc, dst, dfield)
+        for i in stalled:
+            rr = engine(int(run_srcs[i]))
+            if rr.delivered:
+                rescued[i] = True
+                hops[i] = rr.hops
+                episodes.extend((dst, *ep) for ep in _episodes(rr))
             else:
-                agg.episodes.extend(_episodes(rr))
-        else:
-            agg.failures[rr.failure_cause or "unreachable"] += 1
-    return agg
+                failures[rr.failure_cause] += 1
+    if not recover:
+        timed = timed_out[reach & ~greedy]
+        failures[Failure.TTL_EXCEEDED] = int(np.count_nonzero(timed))
+        failures[Failure.LOCAL_MINIMUM] = len(timed) - failures[Failure.TTL_EXCEEDED]
+    delivered = greedy | rescued
+    return _Outcomes(greedy, delivered, np.where(delivered, hops, 0), failures,
+                     np.array(episodes, dtype=np.int64).reshape(-1, 4))
 
 
 def _engine(sc: Scenario, dst: int, dfield: np.ndarray):
@@ -492,28 +441,37 @@ def _episodes(rr):
         i = j
 
 
-def _complementary_stretch(t: Topology, groups: list[list[tuple[int, int, int]]]) -> float:
-    """Mean stretch of the episodes of every group (NaN without episodes).
+def _ordered_sum(x: np.ndarray, keys: np.ndarray) -> float:
+    """Sum of x as a per-group loop adds it, groups being runs of equal keys.
 
-    One oracle call over every episode gives the denominators.  Stretches are
-    summed within each group, then across groups in order, as a serial
-    per-group accumulation adds them, so the float result does not depend on
-    how groups were spread over workers.
+    Values are added left to right within each group, then the group sums
+    left to right, so the float result is that of a serial per-destination
+    accumulation, however the pairs were spread over workers.  Column j adds
+    the j-th value of every group at once.  np.sum and np.add.reduceat add
+    pairwise and math.fsum (like builtin sum from Python 3.12) compensates,
+    so none of them gives these bits.
     """
-    flat = [ep for g in groups for ep in g]
-    if not flat:
-        return float("nan")
-    entry, end, hops = np.array(flat, dtype=np.int64).T
-    stretch = (hops / pair_hops(t, end, entry)).tolist()
+    starts = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
+    sizes = np.diff(starts, append=len(keys))
+    part = np.zeros(len(starts))
+    for j in range(int(sizes.max(initial=0))):
+        has = sizes > j
+        part[has] += x[starts[has] + j]
     total = 0.0
-    at = 0
-    for g in groups:
-        part = 0.0
-        for x in stretch[at:at + len(g)]:
-            part += x
-        total += part
-        at += len(g)
-    return total / len(flat)
+    for p in part.tolist():
+        total += p
+    return total
+
+
+def _complementary_stretch(t: Topology, episodes: np.ndarray) -> float:
+    """Mean stretch of (dst, entry, end, hops) episodes (NaN without episodes).
+
+    One oracle call over every episode gives the denominators.
+    """
+    if not len(episodes):
+        return float("nan")
+    dst, entry, end, hops = episodes.T
+    return _ordered_sum(hops / pair_hops(t, end, entry), dst) / len(episodes)
 
 
 def _sampled_pairs(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -567,21 +525,25 @@ def evaluate_scenario(sc: Scenario, workers: int = 1) -> MetricsRow:
     srcs, dsts = _sampled_pairs(sc)
     bounds = np.flatnonzero(np.diff(dsts, prepend=-1)).tolist() + [len(dsts)]
     groups = [(int(dsts[lo]), lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    if workers <= 1:
-        partials = _eval_run(sc, srcs, groups)
+    if workers <= 1 or not groups:
+        runs = [_eval_run(sc, srcs, groups)]
     else:
-        partials = _parallel_eval(sc, srcs, groups, workers)
-    total = _Agg()
-    for part in partials:
-        total.merge(part)
+        runs = _parallel_eval(sc, srcs, groups, workers)
+    greedy = np.concatenate([run.greedy for run in runs])
+    delivered = np.concatenate([run.delivered for run in runs])
+    hops = np.concatenate([run.hops for run in runs])
+    failures: Counter = Counter()
+    for run in runs:
+        failures += run.failures      # keeps positive counts only
 
+    sp = sc.sampled_hops
+    pairs = int(np.count_nonzero(np.isfinite(sp)))
+    n_greedy = int(np.count_nonzero(greedy))
+    n_delivered = int(np.count_nonzero(delivered))
+    # 0.0 for pairs that were not delivered: their hops are 0 (sp is inf for excluded ones)
+    stretch = hops / sp
+    ratio = lambda a, b: a / b if b else float("nan")
     cfg = sc.config
-    pairs = total.evaluated
-    greedy_ratio = total.greedy / pairs if pairs else float("nan")
-    delivery_ratio = total.delivered / pairs if pairs else float("nan")
-    stretch_greedy = total.sum_greedy / total.greedy if total.greedy else float("nan")
-    stretch_all = total.sum_all / total.delivered if total.delivered else float("nan")
-    stretch_comp = _complementary_stretch(sc.topology, [part.episodes for part in partials])
     return MetricsRow(
         scenario_id=cfg.scenario_id(),
         protocol=cfg.protocol,
@@ -590,13 +552,14 @@ def evaluate_scenario(sc: Scenario, workers: int = 1) -> MetricsRow:
         align_depth=sc.effective_depth,
         mean_degree=sc.topology.mean_degree,
         pairs=pairs,
-        greedy_ratio=greedy_ratio,
-        delivery_ratio=delivery_ratio,
-        stretch_greedy=stretch_greedy,
-        stretch_all=stretch_all,
-        stretch_complementary=stretch_comp,
-        excluded_pairs=total.excluded,
-        failures=tuple(sorted(total.failures.items())),
+        greedy_ratio=ratio(n_greedy, pairs),
+        delivery_ratio=ratio(n_delivered, pairs),
+        stretch_greedy=ratio(_ordered_sum(np.where(greedy, stretch, 0.0), dsts), n_greedy),
+        stretch_all=ratio(_ordered_sum(stretch, dsts), n_delivered),
+        stretch_complementary=_complementary_stretch(
+            sc.topology, np.concatenate([run.episodes for run in runs])),
+        excluded_pairs=len(sp) - pairs,
+        failures=tuple(sorted(failures.items())),
     )
 
 
@@ -605,13 +568,13 @@ _FORK_SCENARIO: Scenario | None = None
 _FORK_SRCS: np.ndarray | None = None
 
 
-def _fork_worker(run: list[tuple[int, int, int]]) -> list[_Agg]:
+def _fork_worker(run: list[tuple[int, int, int]]) -> _Outcomes:
     return _eval_run(_FORK_SCENARIO, _FORK_SRCS, run)
 
 
-def _parallel_eval(sc: Scenario, srcs: np.ndarray, groups, workers: int) -> list[_Agg]:
+def _parallel_eval(sc: Scenario, srcs: np.ndarray, groups, workers: int) -> list[_Outcomes]:
     """Fork-based pool over contiguous runs of groups, each evaluated as a
-    serial run is; partials come back in ascending dst order, so the reduced
+    serial run is; runs come back in ascending dst order, so the reduced
     result is byte-identical to a serial run."""
     import multiprocessing as mp
 
@@ -622,7 +585,7 @@ def _parallel_eval(sc: Scenario, srcs: np.ndarray, groups, workers: int) -> list
     _FORK_SRCS = srcs
     try:
         with mp.get_context("fork").Pool(processes=workers) as pool:
-            return [part for parts in pool.map(_fork_worker, runs, chunksize=1) for part in parts]
+            return pool.map(_fork_worker, runs, chunksize=1)
     finally:
         _FORK_SCENARIO = None
         _FORK_SRCS = None

@@ -19,10 +19,12 @@ from routesim.harness import (
     CSV_HEADER,
     FIG_MAP_DST,
     FIG_MAP_MINIMUM,
+    LOCKSTEP_CROSSOVER,
     Scenario,
     ScenarioConfig,
     ScenarioError,
     distance_map,
+    _ordered_sum,
     _sampled_pairs,
     evaluate,
     evaluate_scenario,
@@ -30,7 +32,8 @@ from routesim.harness import (
     fixture_abc,
     sweep,
 )
-from routesim.routing import PROTOCOLS, Mode, Outcome, route
+from routesim.routing import (PROTOCOL_SPECS, PROTOCOLS, CoordSource, Mode, Outcome,
+                              RoutingContext, route)
 from routesim.coords import check_edge_lipschitz
 from routesim.topology import VoidSpec
 
@@ -74,7 +77,11 @@ def test_workers_do_not_change_output():
                 ScenarioConfig(protocol="gpsr-rng", **split),
                 ScenarioConfig(protocol="gf-geo", **split),
                 # about three sources per destination: greedy_lockstep for most groups
-                small_grid("gf-avcs", sample=180, seed=3, voids=void, align_depth=1)):
+                small_grid("gf-avcs", sample=180, seed=3, voids=void, align_depth=1),
+                # the same, with perimeter episodes from stalled lockstep pairs; two
+                # runs of its parallel split meet at groups with equal run-local
+                # indices, so only per-destination episode groups keep its bits
+                small_grid("gpsr-rng", sample=192, seed=2, voids=void, loc_error=0.4)):
         serial = evaluate(cfg, workers=1)
         parallel = evaluate(cfg, workers=2)
         assert serial == parallel, cfg.protocol
@@ -86,6 +93,76 @@ def test_workers_do_not_change_output():
         if not cfg.protocol.startswith("gf-"):
             # delivered routes had complementary episodes to defer
             assert not math.isnan(serial.stretch_complementary), cfg.protocol
+
+
+def _per_group_loop(groups):
+    total = 0.0
+    for g in groups:
+        part = 0.0
+        for x in g:
+            part += x
+        total += part
+    return total
+
+
+def _ordered_sum_of(groups):
+    x = np.array([v for g in groups for v in g], dtype=float)
+    keys = np.repeat(np.arange(len(groups)) * 7, [len(g) for g in groups])
+    return _ordered_sum(x, keys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.floats(-1e16, 1e16), min_size=1, max_size=40), max_size=12))
+def test_ordered_sum_adds_as_a_per_group_loop(groups):
+    assert _ordered_sum_of(groups).hex() == _per_group_loop(groups).hex()
+
+
+def test_ordered_sum_is_neither_flat_nor_pairwise_nor_compensated():
+    # A flat running sum gives 1.0 here and math.fsum 2.0.
+    assert _ordered_sum_of([[1e16, 1.0], [-1e16, 1.0]]).hex() == (0.0).hex()
+    # np.sum, np.add.reduceat and math.fsum give 1.000000000000003 here.
+    assert _ordered_sum_of([[1.0] + [1e-16] * 31]).hex() == (1.0).hex()
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_evaluations_without_pairs(protocol):
+    # n=1 has no pairs; the two nodes of n=2 in a 50x50 field are out of range
+    for n, excluded in ((1, 0), (2, 2)):
+        cfg = ScenarioConfig(deployment="random", n=n, width=50.0, height=50.0, protocol=protocol)
+        if PROTOCOL_SPECS[protocol].coords != CoordSource.GEO:
+            with pytest.raises(CoordsError):
+                evaluate(cfg)
+            continue
+        label = "none" if protocol == "sp" else "geo"
+        for workers in (1, 2):
+            row = evaluate(cfg, workers=workers)
+            assert row.csv_row() == (f"{cfg.scenario_id()},{protocol},{label},{label},0,0.000000,"
+                                     "0,nan,nan,nan,nan,nan")
+            assert row.excluded_pairs == excluded and row.failures == ()
+
+
+@pytest.mark.parametrize("protocol", ["lcr", "bvr", "gpsr-rng"])
+def test_fields_are_built_once_and_only_where_needed(monkeypatch, protocol):
+    cfg = ScenarioConfig(deployment="grid", rows=12, cols=12, radio_range=1.5,
+                         voids=(VoidSpec("disc", (5.5, 5.5), radius=2.5),),
+                         protocol=protocol, loc_error=0.4, align_depth=1, sample=800, seed=2)
+    sc = Scenario.build(cfg)
+    built = []
+    dfield = RoutingContext.dfield
+
+    def recording(self, protocol, dst):
+        built.append(dst)
+        return dfield(self, protocol, dst)
+
+    monkeypatch.setattr(RoutingContext, "dfield", recording)
+    evaluate_scenario(sc)
+    monkeypatch.undo()
+    srcs, dsts = (a[np.isfinite(sc.sampled_hops)].tolist() for a in _sampled_pairs(sc))
+    dense = {dst for dst, k in Counter(dsts).items() if k * k >= LOCKSTEP_CROSSOVER * sc.topology.n}
+    stalled = {dst for src, dst in zip(srcs, dsts)
+               if route(protocol, src, dst, sc.ctx).outcome != Outcome.DELIVERED_GREEDY}
+    assert dense - stalled and stalled - dense
+    assert sorted(built) == sorted(dense | stalled)
 
 
 def _refuse_hop_matrix(self):
