@@ -1,5 +1,9 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from routesim.routing import (
     METHOD_GG,
@@ -8,8 +12,43 @@ from routesim.routing import (
     planarize,
     segments_properly_cross,
 )
+from routesim.routing import planar
 from routesim.routing.planar import crossing_point
-from routesim.topology import Deployment, build_udg, generate_random
+from routesim.topology import (
+    Deployment,
+    build_udg,
+    generate_random,
+    perturb_positions,
+    topology_from_adjacency,
+)
+
+
+def loop_planarize(t, positions, method):
+    """Reference: the per-edge witness loop that ``planarize`` replaced."""
+    pos = np.asarray(positions, dtype=float)
+    keep = []
+    adj = t.adjacency
+    for u, v in t.edges().tolist():
+        pu, pv = pos[u], pos[v]
+        witnesses = set(adj[u]) | set(adj[v])
+        witnesses.discard(u)
+        witnesses.discard(v)
+        if method == METHOD_GG:
+            mid = (pu + pv) / 2.0
+            r2 = ((pu - pv) ** 2).sum() / 4.0
+            ok = all(((pos[w] - mid) ** 2).sum() > r2 for w in witnesses)
+        else:
+            d2 = ((pu - pv) ** 2).sum()
+            ok = all(
+                max(((pos[w] - pu) ** 2).sum(), ((pos[w] - pv) ** 2).sum()) >= d2
+                for w in witnesses
+            )
+        if ok:
+            keep.append((u, v))
+    adjacency = [[] for _ in range(t.n)]
+    for u, v in keep:
+        adjacency[u].append(v)
+    return topology_from_adjacency(t.positions, adjacency, t.radio_range)
 
 
 def test_two_nodes_keep_single_edge():
@@ -29,9 +68,14 @@ def test_unit_square_diagonals_removed():
     )
     t = build_udg(d, 1.5)
     assert len(t.adjacency[0]) == 3  # diagonals exist in the topology
+    assert count_crossings(t, t.positions) == 1
+    # the diagonals alone: the crossing pair is the only (and last) pair
+    x = topology_from_adjacency(d.positions, [[3], [2], [], []], 1.5)
+    assert count_crossings(x, x.positions) == 1
     for method in (METHOD_GG, METHOD_RNG):
         pg = planarize(t, t.positions, method)
         assert pg.edges().tolist() == [[0, 1], [0, 2], [1, 3], [2, 3]]
+        assert count_crossings(pg, t.positions) == 0
 
 
 def test_rng_subset_of_gg():
@@ -77,3 +121,81 @@ def test_crossing_point_value():
     p = crossing_point((-1, 0), (1, 0), (0, -2), (0, 2))
     assert p == pytest.approx((0.0, 0.0))
     assert crossing_point((-1, 0), (1, 0), (0, 1), (0, 2)) is None
+
+
+def test_tie_rules():
+    # GG: a witness exactly on the circle with diameter uv removes uv
+    t = build_udg(Deployment(np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0]]), 2.0, 1.0), 2.0)
+    assert [0, 1] not in planarize(t, t.positions, METHOD_GG).edges().tolist()
+    # RNG: a 3-4-5 triangle; w is exactly as far from u as v is, and closer
+    # to v, so max(d(w, u), d(w, v)) == d(u, v) and every edge stays
+    t = build_udg(Deployment(np.array([[0.0, 0.0], [3.0, 4.0], [5.0, 0.0]]), 5.0, 4.0), 5.0)
+    for method in (METHOD_GG, METHOD_RNG):
+        assert planarize(t, t.positions, method).n_edges == 3
+
+
+@st.composite
+def planar_cases(draw):
+    """(topology, believed positions) for random and integer-lattice layouts.
+
+    Lattice positions put witnesses exactly on GG circles and at exactly
+    equal RNG distances; cut nodes lose every edge (isolated nodes); a
+    positive localization error moves positions off the topology's own.
+    """
+    n = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        d = generate_random(n, 6.0, 6.0, seed=seed)
+        r = draw(st.sampled_from([0.8, 1.5, 2.5]))
+    else:
+        xy = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                           min_size=n, max_size=n))
+        d = Deployment(np.array(xy, dtype=float), width=5.0, height=5.0)
+        r = draw(st.sampled_from([1.0, math.sqrt(2.0), 2.0, math.sqrt(5.0), 3.0]))
+    t = build_udg(d, r)
+    cut = draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
+    if cut:
+        adjacency = [[v for v in nbrs if u not in cut and v not in cut]
+                     for u, nbrs in enumerate(t.adjacency)]
+        t = topology_from_adjacency(t.positions, adjacency, r, d.width, d.height)
+    loc_error = draw(st.sampled_from([0.0, 0.0, 0.4, 1.0]))
+    return t, perturb_positions(t, loc_error, seed).positions
+
+
+@settings(max_examples=300, deadline=None)
+@given(planar_cases(), st.sampled_from([1, 3, 64, planar._EDGE_BLOCK]))
+def test_planarize_matches_per_edge_loop(case, block):
+    t, pos = case
+    with mock.patch.object(planar, "_EDGE_BLOCK", block):
+        for method in (METHOD_GG, METHOD_RNG):
+            got = planarize(t, pos, method)
+            want = loop_planarize(t, pos, method)
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+
+
+@pytest.mark.parametrize("xy", [[[0.5, 0.5]], [[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]])
+def test_planarize_edgeless_topology(xy):
+    d = Deployment(np.array(xy), width=3.0, height=3.0)
+    t = build_udg(d, 1.0)
+    _, mask = t.neighbor_matrix()
+    assert t.edges().shape == (0, 2) and mask.shape == (t.n, 1) and not mask.any()
+    for method in (METHOD_GG, METHOD_RNG):
+        pg = planarize(t, t.positions, method)
+        assert pg.n_edges == 0 and pg.edges().shape == (0, 2)
+        assert pg.deployment is t.deployment and pg.radio_range == t.radio_range
+
+
+@pytest.mark.parametrize("pair_block", [1, 7, 100, planar._PAIR_BLOCK])
+def test_count_crossings_matches_pairwise_loop(pair_block):
+    t = build_udg(generate_random(25, 4.0, 4.0, seed=3), 1.5)
+    pos = perturb_positions(t, 0.4, 3).positions
+    edges = t.edges().tolist()
+    want = sum(
+        segments_properly_cross(pos[a], pos[b], pos[c], pos[e])
+        for i, (a, b) in enumerate(edges)
+        for c, e in edges[i + 1:]
+    )
+    assert want > 0
+    with mock.patch.object(planar, "_PAIR_BLOCK", pair_block):
+        assert count_crossings(t, pos) == want
