@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from routesim import coords as coords_mod
 from routesim.config import ConfigError, load_config
@@ -17,6 +18,7 @@ from routesim.coords import CoordsError
 from routesim.harness import (
     CSV_HEADER,
     Scenario,
+    ScenarioConfig,
     ScenarioError,
     SWEEP_AXES,
     distance_map,
@@ -92,24 +94,21 @@ def cmd_route(args) -> int:
     return EXIT_UNREACHABLE
 
 
-def cmd_eval(args) -> int:
+def _load_config(args) -> ScenarioConfig:
+    """The config file's scenario, with ``--sample`` overriding its pair budget."""
     cfg = load_config(args.config)
-    if args.sample is not None:
-        from dataclasses import replace
+    return cfg if args.sample is None else replace(cfg, sample=args.sample)
 
-        cfg = replace(cfg, sample=args.sample)
-    sc = Scenario.build(cfg)
+
+def cmd_eval(args) -> int:
+    sc = Scenario.build(_load_config(args))
     row = evaluate_scenario(sc, workers=args.workers)
     _write_out(CSV_HEADER + "\n" + row.csv_row() + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    if args.sample is not None:
-        from dataclasses import replace
-
-        cfg = replace(cfg, sample=args.sample)
+    cfg = _load_config(args)
     values = [_parse_axis_value(args.axis, v) for v in args.values]
     rows, errors = sweep(cfg, args.axis, values, workers=args.workers)
     text = CSV_HEADER + "\n" + "".join(r.csv_row() + "\n" for r in rows)

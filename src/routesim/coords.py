@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from routesim.topology import PerceivedPositions, Topology, _freeze
 
@@ -204,7 +203,7 @@ def hop_diameter(t: Topology) -> int:
     bounds.
     """
     n = t.n
-    _, label = connected_components(t.sparse(), directed=False)
+    label = t.component_labels()
     upper = np.bincount(label)[label] - 1
     lower = np.zeros(n, dtype=np.int64)
     degree = np.diff(t.indptr)
@@ -261,6 +260,8 @@ def align(vc: VirtualCoords, t: Topology, depth: int, rule: str = RULE_SELF_WEIG
     uniform-average:  new = (sum over neighbors + own) / (deg + 1)
 
     A node with no neighbors keeps its previous value under both rules.
+    Neighbor sums add the padded neighbor columns one at a time, in
+    ascending id order from 0.0, so every sum is rounded in a fixed order.
     """
     if depth < 0:
         raise CoordsError("alignment depth must be non-negative")
@@ -268,12 +269,14 @@ def align(vc: VirtualCoords, t: Topology, depth: int, rule: str = RULE_SELF_WEIG
         raise CoordsError(f"unknown alignment rule {rule!r}")
     a = vc.matrix.astype(float)
     if depth > 0:
-        s = t.sparse().astype(float)
-        deg = np.asarray(s.sum(axis=1)).ravel()
+        ids, mask = t.neighbor_matrix()
+        deg = np.diff(t.indptr).astype(float)
         isolated = deg == 0
         safe_deg = np.where(isolated, 1.0, deg)
         for _ in range(depth):
-            nbr_sum = s @ a
+            nbr_sum = np.zeros_like(a)
+            for col, valid in zip(ids.T, mask.T):
+                nbr_sum += np.where(valid[:, None], a[col], 0.0)
             if rule == RULE_SELF_WEIGHTED:
                 new = (nbr_sum / safe_deg[:, None] + a) / 2.0
             else:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, NamedTuple
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
 
 from routesim import distance as dist_mod
 from routesim.coords import (
@@ -228,13 +227,16 @@ class Scenario:
     def hop_matrix(self) -> np.ndarray:
         """All-pairs hop distances (float, inf across components); cached.
 
-        An O(n^2) oracle for tests: building and evaluating a scenario never
-        call it.
+        Nothing in routesim calls this O(n^2) matrix: building and
+        evaluating a scenario use ``pair_hops`` on the pairs they need.  It
+        stays only because the benchmark tracer (``perfbench/tracer.py``)
+        wraps it by name; it can go once the tracer reads spans recorded
+        inside routesim instead.
         """
         if self._hops is None:
-            self._hops = shortest_path(
-                self.topology.sparse(), method="D", directed=False, unweighted=True
-            )
+            n = self.topology.n
+            nodes = np.arange(n)
+            self._hops = pair_hops(self.topology, np.repeat(nodes, n), np.tile(nodes, n)).reshape(n, n)
         return self._hops
 
     def diameter(self) -> int:

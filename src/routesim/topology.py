@@ -14,9 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 
 class TopologyError(ValueError):
@@ -46,6 +43,8 @@ class Deployment:
             raise TopologyError("positions must be an (n, 2) array")
         if len(pos) == 0:
             raise TopologyError("deployment must contain at least one node")
+        if not np.isfinite(pos).all():
+            raise TopologyError("positions must be finite")
         eps = 1e-9
         if (pos[:, 0] < -eps).any() or (pos[:, 0] > self.width + eps).any() \
                 or (pos[:, 1] < -eps).any() or (pos[:, 1] > self.height + eps).any():
@@ -123,7 +122,26 @@ class Topology:
 
     @property
     def connected(self) -> bool:
-        return connected_components(self.sparse(), directed=False, return_labels=False) == 1
+        return not self.component_labels().any()
+
+    def component_labels(self) -> np.ndarray:
+        """Per-node component label: the smallest node id in its component.
+
+        Min-label hooking with pointer jumping (Shiloach & Vishkin, 1982):
+        every root hooks to the smallest root across its edges, then every
+        node jumps to its root, until no edge joins two trees.  Each pass at
+        least halves the trees of a component.
+        """
+        u = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        v = self.indices
+        parent = np.arange(self.n)
+        while True:
+            np.minimum.at(parent, parent[u], parent[v])
+            jumped = parent[parent]
+            while not np.array_equal(jumped, parent):
+                parent, jumped = jumped, jumped[jumped]
+            if np.array_equal(parent[u], parent[v]):
+                return parent
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -137,11 +155,6 @@ class Topology:
         u = np.repeat(np.arange(self.n), np.diff(self.indptr))
         upper = u < self.indices
         return np.column_stack([u[upper], self.indices[upper]])
-
-    def sparse(self) -> csr_matrix:
-        """Adjacency as a scipy CSR matrix of int8 ones over the stored arrays."""
-        data = np.ones(len(self.indices), dtype=np.int8)
-        return csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
     def neighbor_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """Padded (n, max_deg) neighbor-id matrix plus validity mask.
@@ -222,17 +235,44 @@ def carve_voids(d: Deployment, voids: list[VoidSpec]) -> Deployment:
     return Deployment(keep.copy(), width=d.width, height=d.height)
 
 
+# Cell side over radio range: the slack keeps every pair within range in
+# neighbouring cells despite the rounding of the cell division.
+_CELL_SLACK = 1.0 + 2.0 ** -20
+
+
 def build_udg(d: Deployment, radio_range: float) -> Topology:
-    """Unit-disk adjacency: u ~ v iff 0 < dist(u, v) <= radio_range."""
-    if radio_range <= 0:
+    """Unit-disk adjacency: u ~ v iff 0 < dist(u, v) <= radio_range.
+
+    A uniform grid of cells a little wider than the range (the cell lists of
+    Hockney & Eastwood, 1981): nodes are sorted by cell, and each cell is
+    paired with itself and the 4 cells after it in key order (the half
+    neighbourhood), looked up with searchsorted.  A candidate pair is kept
+    when ``dx*dx + dy*dy <= r*r`` and the two positions differ (a difference
+    of two floats is 0 only when they are equal).
+    """
+    if not radio_range > 0:
         raise TopologyError("radio range must be positive")
-    tree = cKDTree(d.positions)
-    pairs = tree.query_pairs(radio_range, output_type="ndarray")
-    # query_pairs returns every pair with dist <= r, coincident nodes included;
-    # the unit-disk rule links only nodes at positive distance.
     pos = d.positions
-    pairs = pairs[(pos[pairs[:, 0]] != pos[pairs[:, 1]]).any(axis=1)]
-    return _from_edges(d, radio_range, pairs)
+    cell = np.floor(pos / (radio_range * _CELL_SLACK)).astype(np.int64)
+    cell -= cell.min(axis=0)
+    # No node has a key of residue stride - 1, so the offsets below never
+    # wrap a cell on one edge of the grid onto the other.
+    stride = int(cell[:, 1].max()) + 2
+    key = cell[:, 0] * stride + cell[:, 1]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    offsets = np.array([0, 1, stride - 1, stride, stride + 1])
+    target = key[:, None] + offsets
+    lo = np.searchsorted(key, target, side="left")
+    hi = np.searchsorted(key, target, side="right")
+    lo[:, 0] = np.arange(1, d.n + 1)  # within a cell, only the later nodes
+    counts = (hi - lo).ravel()
+    a = np.repeat(np.repeat(np.arange(d.n), len(offsets)), counts)
+    b = np.repeat(lo.ravel() - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+    x, y = pos[order].T
+    dx, dy = x[a] - x[b], y[a] - y[b]
+    keep = (dx * dx + dy * dy <= radio_range * radio_range) & ((dx != 0) | (dy != 0))
+    return _from_edges(d, radio_range, np.column_stack([order[a[keep]], order[b[keep]]]))
 
 
 def topology_from_adjacency(

@@ -186,3 +186,19 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "routesim" in proc.stdout
+
+
+def test_cli_eval_imports_no_scipy():
+    # numpy is the only runtime dependency: scipy serves the tests alone
+    script = (
+        "import sys\n"
+        "from routesim.cli import main\n"
+        "assert main(['--config', 'configs/grid20_geo.cfg', '--out', sys.argv[1], 'eval']) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run([sys.executable, "-c", script, os.devnull], capture_output=True,
+                          text=True, env=env, cwd=root)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
 
 from routesim.coords import (
+    ALIGN_RULES,
     AnchorSet,
     CoordsError,
     RULE_SELF_WEIGHTED,
     RULE_UNIFORM_AVERAGE,
+    VirtualCoords,
     align,
     build_vcs,
     check_edge_lipschitz,
@@ -163,6 +167,58 @@ def test_align_depth_d_locality():
         near = slice(0, n - 1 - d)  # strictly more than d hops from the change
         assert np.array_equal(aa[near], ab[near])
         assert not np.array_equal(aa[n - 1 - d :], ab[n - 1 - d :])
+
+
+def _csr_align(vc, t, depth, rule):
+    """The alignment rounds as a scipy CSR product, the reference float order."""
+    s = csr_matrix((np.ones(len(t.indices)), t.indices, t.indptr), shape=(t.n, t.n))
+    deg = np.asarray(s.sum(axis=1)).ravel()
+    isolated = deg == 0
+    a = vc.matrix.astype(float)
+    for _ in range(depth):
+        nbr_sum = s @ a
+        if rule == RULE_SELF_WEIGHTED:
+            new = (nbr_sum / np.where(isolated, 1.0, deg)[:, None] + a) / 2.0
+        else:
+            new = (nbr_sum + a) / (deg[:, None] + 1.0)
+        new[isolated] = a[isolated]
+        a = new
+    return a
+
+
+@st.composite
+def coordinate_graphs(draw):
+    """Random graphs with isolated nodes, and integer coordinates up to 40."""
+    n = draw(st.integers(1, 40))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=150))
+    adjacency = [[] for _ in range(n)]
+    for u, v in edges:
+        if u != v:
+            adjacency[u].append(v)
+    dims = draw(st.integers(3, 4))
+    values = draw(st.lists(st.integers(0, 40), min_size=n * dims, max_size=n * dims))
+    t = topology_from_adjacency(np.zeros((n, 2)), adjacency)
+    return t, VirtualCoords(np.array(values).reshape(n, dims))
+
+
+def _assert_align_bit_equal_to_csr(t, vc):
+    for rule in ALIGN_RULES:
+        for depth in (1, 3):
+            got = align(vc, t, depth, rule).matrix
+            assert got.tobytes() == _csr_align(vc, t, depth, rule).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(coordinate_graphs())
+def test_align_bit_equal_to_csr_product(case):
+    _assert_align_bit_equal_to_csr(*case)
+
+
+def test_align_bit_equal_to_csr_product_on_udg():
+    t = build_udg(generate_random(2000, 60, 60, seed=4), 1.6)  # mean degree 4.5
+    assert (np.diff(t.indptr) == 0).any() and np.diff(t.indptr).max() > 10
+    vc = VirtualCoords(np.random.default_rng(4).integers(0, 60, size=(t.n, 4)))
+    _assert_align_bit_equal_to_csr(t, vc)
 
 
 def test_geo_view_true_and_perceived():

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from collections import Counter
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
@@ -362,9 +363,31 @@ def test_perceived_positions_only_affect_geo_side():
     assert g1.csv_row() != g2.csv_row()
 
 
+def _networkx_hops(t):
+    """All-pairs hop distances from networkx, inf across components."""
+    g = nx.Graph()
+    g.add_nodes_from(range(t.n))
+    g.add_edges_from(t.edges().tolist())
+    hops = np.full((t.n, t.n), np.inf)
+    for src, row in nx.all_pairs_shortest_path_length(g):
+        hops[src, list(row)] = list(row.values())
+    return hops
+
+
+def test_hop_matrix_matches_networkx_across_components():
+    cfg = ScenarioConfig(deployment="grid", rows=8, cols=8, radio_range=1.0,
+                         voids=(VoidSpec("rect", (4.0, 4.0), half_w=0.6, half_h=10.0),),
+                         protocol="gf-geo")
+    sc = Scenario.build(cfg)
+    hops = sc.hop_matrix()
+    assert np.isinf(hops).any()
+    assert np.array_equal(hops, _networkx_hops(sc.topology))
+    assert sc.hop_matrix() is hops
+
+
 def _per_pair_metrics(sc):
     """Aggregate one routing.route call per evaluated pair, as the CSV defines it."""
-    hops = sc.hop_matrix()
+    hops = _networkx_hops(sc.topology)
     pairs = excluded = greedy = delivered = episodes = 0
     sum_greedy = sum_all = sum_comp = 0.0
     failures = Counter()

@@ -1,6 +1,10 @@
+import math
+
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from routesim.topology import (
     Deployment,
@@ -134,6 +138,56 @@ def test_udg_matches_bruteforce_oracle():
         assert list(t.adjacency[u]) == expect
 
 
+@pytest.mark.parametrize("radio_range", [math.nan, 0.0, -1.0])
+def test_udg_rejects_nan_zero_and_negative_range(radio_range):
+    with pytest.raises(TopologyError):
+        build_udg(generate_grid(3, 3, 1.0), radio_range)
+
+
+def test_udg_infinite_range_links_every_distinct_pair():
+    pos = np.array([[0.0, 0.0], [5.0, 1.0], [5.0, 1.0], [9.0, 9.0]])
+    d = Deployment(pos, width=9.0, height=9.0)
+    t = build_udg(d, math.inf)
+    assert t.adjacency == ((1, 2, 3), (0, 3), (0, 3), (0, 1, 2))
+    assert build_udg(generate_grid(3, 3, 1.0), math.inf).n_edges == 36
+
+
+def _query_pairs_edges(d, radio_range):
+    """The unit-disk rule from a k-d tree: every pair within range, minus coincident ones."""
+    pairs = cKDTree(d.positions).query_pairs(radio_range, output_type="ndarray")
+    pos = d.positions
+    pairs = pairs[(pos[pairs[:, 0]] != pos[pairs[:, 1]]).any(axis=1)]
+    return sorted(pairs.tolist())
+
+
+@st.composite
+def lattices(draw):
+    """Integer lattice points times a spacing, with repeats (coincident nodes),
+    and a range that is a multiple of the spacing: many pairs sit exactly at
+    distance r, and many at distance r only up to rounding."""
+    spacing = draw(st.sampled_from((1.0, 0.5, 0.3, 0.1)))
+    cols, rows = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    cell = st.tuples(st.integers(0, cols), st.integers(0, rows))
+    cells = draw(st.lists(cell, min_size=1, max_size=80))
+    pos = np.array(cells, dtype=float) * spacing
+    factor = draw(st.sampled_from((0.3, 0.5, 1.0, math.sqrt(2.0), 1.5, 2.0, 2.5)))
+    return Deployment(pos, width=cols * spacing, height=rows * spacing), factor * spacing
+
+
+@settings(max_examples=400, deadline=None)
+@given(lattices())
+def test_udg_cell_grid_matches_kd_tree_query_pairs(case):
+    d, radio_range = case
+    assert build_udg(d, radio_range).edges().tolist() == _query_pairs_edges(d, radio_range)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_udg_cell_grid_matches_kd_tree_on_random_deployments(seed):
+    d = generate_random(3000, 40, 40, seed=seed)
+    for radio_range in (0.7, 1.5, 2.3):
+        assert build_udg(d, radio_range).edges().tolist() == _query_pairs_edges(d, radio_range)
+
+
 def test_udg_symmetry_and_no_self_loops():
     t = build_udg(generate_random(200, 15, 15, seed=5), 1.5)
     for u, nbrs in enumerate(t.adjacency):
@@ -194,6 +248,13 @@ def test_deployment_rejects_out_of_bounds():
         Deployment(np.array([[5.0, 0.5]]), width=1.0, height=1.0)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_deployment_rejects_non_finite_positions(x):
+    # a NaN passes every bounds comparison; an infinite width admits inf
+    with pytest.raises(TopologyError):
+        Deployment(np.array([[x, 0.5], [0.5, 0.5]]), width=math.inf, height=1.0)
+
+
 @st.composite
 def edge_lists(draw):
     """(n, adjacency lists) with repeats, both orientations and isolated nodes."""
@@ -223,12 +284,6 @@ def test_edge_array_views_match_set_reference(case):
     assert all(type(v) is int for nbrs in t.adjacency for v in nbrs)
     assert t.n_edges == sum(len(s) for s in ref) // 2
     assert t.edges().tolist() == [[u, v] for u in range(n) for v in expect[u] if u < v]
-    dense = np.zeros((n, n), dtype=np.int8)
-    for u, nbrs in enumerate(expect):
-        dense[u, list(nbrs)] = 1
-    s = t.sparse()
-    assert s.shape == (n, n) and s.has_sorted_indices
-    assert np.array_equal(s.toarray(), dense)
     ids, mask = t.neighbor_matrix()
     assert ids.shape == mask.shape == (n, max(1, max(len(a) for a in expect)))
     for u, nbrs in enumerate(expect):
@@ -284,3 +339,35 @@ def test_parse_normalises_duplicate_and_reversed_edges():
     assert t2.n_edges == 2
     assert t2.adjacency == t.adjacency
     assert format_topology(t2) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists())
+def test_component_labels_match_networkx(case):
+    n, adjacency = case
+    t = topology_from_adjacency(np.zeros((n, 2)), adjacency)
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(t.edges().tolist())
+    expect = np.empty(n, dtype=np.int64)
+    for component in nx.connected_components(g):
+        expect[list(component)] = min(component)
+    assert np.array_equal(t.component_labels(), expect)
+    assert t.connected == (nx.number_connected_components(g) == 1)
+
+
+def test_component_labels_long_path_and_isolated_nodes():
+    # a path numbered from its middle outwards, plus two isolated nodes
+    n = 301
+    order = [150 + (k + 1) // 2 * (1 if k % 2 else -1) for k in range(n - 2)]
+    adjacency = [[] for _ in range(n)]
+    for u, v in zip(order, order[1:]):
+        adjacency[u].append(v)
+    t = topology_from_adjacency(np.zeros((n, 2)), adjacency)
+    labels = t.component_labels()
+    path = sorted(order)
+    assert (labels[path] == path[0]).all()
+    isolated = sorted(set(range(n)) - set(order))
+    assert labels[isolated].tolist() == isolated
+    assert not t.connected
+    assert topology_from_adjacency(np.zeros((1, 2)), [[]]).connected
