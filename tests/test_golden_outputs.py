@@ -24,18 +24,30 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
 TABLE = Path(__file__).with_name("golden_outputs.json")
 
-COMMANDS = (["gen"], ["eval"], ["map", "5"], ["route", "0", "371"])
+COMMANDS = (["gen"], ["coords"], ["eval"], ["map", "5"], ["route", "0", "371"])
 VARIANT_BASE = "grid20_hole29_avcs.cfg"
 VARIANT_PROTOCOLS = ("lcr", "bvr", "gpsr-gg", "gpsr-rng", "sp")
 # 9 -> 361 crosses the void: lcr backtracks, bvr falls back and floods, gpsr
 # enters perimeter mode; on gpsr-rng 150 -> 220 ends in a perimeter loop.
 VARIANT_COMMANDS = (["--sample", "2000", "eval"], ["route", "9", "361"], ["route", "150", "220"])
+# (config keys set on the base config, commands run on the result)
+VARIANTS = (
+    *(({"protocol": p, "loc_error": 0.4}, VARIANT_COMMANDS) for p in VARIANT_PROTOCOLS),
+    # Depth-0 scenarios of the aligned-coordinate protocols.
+    *(({"protocol": p, "align_depth": 0, "loc_error": 0.4}, (["--sample", "2000", "eval"], ["coords"]))
+      for p in ("lcr", "bvr")),
+    # gf-vcs routes on raw hop counts but prints the configured alignment.
+    ({"protocol": "gf-vcs", "align_depth": 2}, (["coords"],)),
+)
 
 
-def _variant_text(protocol: str) -> str:
+def _variant_text(keys: dict) -> str:
     text = (ROOT / "configs" / VARIANT_BASE).read_text()
-    text = re.sub(r"(?m)^protocol = .*$", f"protocol = {protocol}", text)
-    return text + "loc_error = 0.4\n"
+    for key, value in keys.items():
+        text, found = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        if not found:
+            text += f"{key} = {value}\n"
+    return text
 
 
 def _cases() -> dict[str, tuple[str, list[str]]]:
@@ -44,10 +56,10 @@ def _cases() -> dict[str, tuple[str, list[str]]]:
     for cfg in CONFIGS:
         for cmd in COMMANDS:
             cases[f"{cfg.name} {' '.join(cmd)}"] = (cfg.read_text(), cmd)
-    for protocol in VARIANT_PROTOCOLS:
-        for cmd in VARIANT_COMMANDS:
-            case = f"{VARIANT_BASE}[protocol={protocol},loc_error=0.4] {' '.join(cmd)}"
-            cases[case] = (_variant_text(protocol), cmd)
+    for keys, commands in VARIANTS:
+        label = ",".join(f"{k}={v}" for k, v in keys.items())
+        for cmd in commands:
+            cases[f"{VARIANT_BASE}[{label}] {' '.join(cmd)}"] = (_variant_text(keys), cmd)
     return cases
 
 
