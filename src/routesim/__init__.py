@@ -11,7 +11,6 @@ from routesim.topology import (
     Deployment,
     Topology,
     VoidSpec,
-    PerceivedPositions,
     generate_grid,
     generate_random,
     carve_voids,
@@ -26,7 +25,6 @@ from routesim.coords import (
     hop_counts,
     build_vcs,
     align,
-    geo_view,
 )
 from routesim import distance
 from routesim.routing import (

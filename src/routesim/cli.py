@@ -12,9 +12,8 @@ import argparse
 import sys
 from dataclasses import replace
 
-from routesim import coords as coords_mod
 from routesim.config import ConfigError, load_config
-from routesim.coords import CoordsError
+from routesim.coords import CoordsError, format_coords
 from routesim.harness import (
     CSV_HEADER,
     Scenario,
@@ -64,11 +63,7 @@ def cmd_coords(args) -> int:
     cfg = load_config(args.config)
     if cfg.spec.coords == CoordSource.GEO:
         return _fail("coords needs a virtual-coordinate protocol (gf-vcs, gf-avcs, lcr, bvr)")
-    sc = Scenario.build(cfg)
-    ac = sc.av
-    if ac is None:
-        ac = coords_mod.align(sc.vc, sc.topology, 0, cfg.align_rule)
-    _write_out(coords_mod.format_coords(ac), args.out)
+    _write_out(format_coords(Scenario.build(cfg).av), args.out)
     return EXIT_OK
 
 

@@ -1,5 +1,5 @@
-"""Coordinate assignments: geographic views, hop-count virtual coordinates,
-and their real-valued aligned refinement.
+"""Coordinate assignments: hop-count virtual coordinates and their
+real-valued aligned refinement.
 
 A virtual coordinate system tracks, per node, the hop distance to each member
 of an ordered anchor set.  Alignment replaces those integers with repeated
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from routesim.topology import PerceivedPositions, Topology, _freeze
+from routesim.topology import Topology, _freeze
 
 RULE_SELF_WEIGHTED = "self-weighted"      # new = (neighbor mean + own) / 2
 RULE_UNIFORM_AVERAGE = "uniform-average"  # new = (neighbor sum + own) / (n + 1)
@@ -285,15 +285,6 @@ def align(vc: VirtualCoords, t: Topology, depth: int, rule: str = RULE_SELF_WEIG
                 new[isolated] = a[isolated]
             a = new
     return AlignedCoords(a, depth=depth, rule=rule, anchors=vc.anchors)
-
-
-def geo_view(t: Topology, perceived: PerceivedPositions | None = None) -> np.ndarray:
-    """Positions the routing layer believes: perceived when given, else true."""
-    if perceived is None:
-        return t.positions
-    if len(perceived.positions) != t.n:
-        raise CoordsError("perceived positions do not match the topology")
-    return perceived.positions
 
 
 def check_edge_lipschitz(vc: VirtualCoords, t: Topology) -> bool:

@@ -28,7 +28,6 @@ from routesim.coords import (
     align,
     build_vcs,
     corner_anchors,
-    geo_view,
     hop_counts,
     hop_diameter,
     pair_hops,
@@ -47,7 +46,6 @@ from routesim.routing import (
 )
 from routesim.routing.greedy import greedy_lockstep, greedy_successors, greedy_walks
 from routesim.topology import (
-    PerceivedPositions,
     Topology,
     TopologyError,
     VoidSpec,
@@ -156,12 +154,14 @@ class ScenarioConfig:
 
 @dataclass
 class Scenario:
-    """A fully built scenario: topology, coordinate systems, routing context."""
+    """A fully built scenario: topology, coordinate systems, routing context.
+
+    ``vc`` and ``av`` are None for geographic protocols; otherwise ``av`` is
+    the configured alignment of ``vc``, a float copy of it at depth 0.
+    """
 
     config: ScenarioConfig
     topology: Topology
-    perceived: PerceivedPositions | None
-    anchors: AnchorSet | None
     vc: VirtualCoords | None
     av: AlignedCoords | None
     ctx: RoutingContext
@@ -175,8 +175,6 @@ class Scenario:
         removed = 0
         if config.deployment == "abc-fixture":
             t, vc = fixture_abc()
-            anchors: AnchorSet | None = vc.anchors
-            perceived = None
         else:
             if config.deployment == "grid":
                 dep = generate_grid(config.rows, config.cols, config.spacing)
@@ -186,10 +184,6 @@ class Scenario:
             dep = carve_voids(dep, list(config.voids))
             removed = before - dep.n
             t = build_udg(dep, config.radio_range)
-            perceived = None
-            if config.loc_error > 0:
-                perceived = perturb_positions(t, config.loc_error, config.seed + _PERTURB_SALT)
-            anchors = None
             vc = None
             if config.spec.coords != CoordSource.GEO:
                 if isinstance(config.anchors, tuple):
@@ -197,30 +191,17 @@ class Scenario:
                 else:
                     anchors = corner_anchors(t, config.dims)
                 vc = build_vcs(t, anchors)
-        av = None
-        if vc is not None and config.align_depth > 0:
-            av = align(vc, t, config.align_depth, config.align_rule)
-
-        sc = cls(
-            config=config,
+        av = None if vc is None else align(vc, t, config.align_depth, config.align_rule)
+        ctx = RoutingContext(
             topology=t,
-            perceived=perceived,
-            anchors=anchors,
-            vc=vc,
-            av=av,
-            ctx=None,  # type: ignore[arg-type]
-            removed_nodes=removed,
-        )
-        ttl = max(1, math.ceil(config.ttl_factor * sc.diameter()))
-        sc.ctx = RoutingContext(
-            topology=t,
-            geo_positions=geo_view(t, perceived),
-            ttl=ttl,
+            geo_positions=perturb_positions(t, config.loc_error, config.seed + _PERTURB_SALT),
+            ttl=max(1, math.ceil(config.ttl_factor * hop_diameter(t))),
             vc=vc,
             av=av,
             distance_kind=config.distance if config.distance != "geo" else "euclid",
             semi_weight=config.semi_weight,
         )
+        sc = cls(config=config, topology=t, vc=vc, av=av, ctx=ctx, removed_nodes=removed)
         sc.sampled_hops = _sampled_hops(sc)
         return sc
 
@@ -239,13 +220,9 @@ class Scenario:
             self._hops = pair_hops(self.topology, np.repeat(nodes, n), np.tile(nodes, n)).reshape(n, n)
         return self._hops
 
-    def diameter(self) -> int:
-        """Largest finite hop distance over all components."""
-        return hop_diameter(self.topology)
-
     @property
     def effective_depth(self) -> int:
-        if self.config.spec.coords == CoordSource.ALIGNED and self.av is not None:
+        if self.config.spec.coords == CoordSource.ALIGNED:
             return self.av.depth
         return 0
 
@@ -414,7 +391,7 @@ def _engine(sc: Scenario, dst: int, dfield: np.ndarray):
     if spec.recovery == Recovery.PERIMETER:
         pg = sc.ctx.planar(spec.planar)
         pos = sc.ctx.geo_positions
-        return lambda src: gpsr_route(src, dst, pos, pg, t, ttl, dfield=dfield)
+        return lambda src: gpsr_route(src, dst, dfield, pos, pg, t, ttl)
     if spec.recovery == Recovery.BACKTRACK:
         return lambda src: lcr_route(src, dst, dfield, t, ttl)
     return lambda src: bvr_route(src, dst, dfield, sc.vc, t, ttl)
@@ -623,7 +600,7 @@ def _apply_axis(base: ScenarioConfig, axis: str, value) -> ScenarioConfig:
         k = int(value)
         if not 0 <= k <= len(_HOLE_CENTERS):
             raise ScenarioError(f"hole_count must be in [0, {len(_HOLE_CENTERS)}]")
-        radius = base.voids[0].radius if base.voids else 2.0
+        radius = next((v.radius for v in base.voids if v.kind == "disc"), 2.0)
         w, h = _bounds(base)
         voids = tuple(
             VoidSpec("disc", (fx * w, fy * h), radius=radius) for fx, fy in _HOLE_CENTERS[:k]

@@ -89,7 +89,7 @@ class RoutingContext:
     geo_positions: np.ndarray                # believed positions (true or perceived)
     ttl: int
     vc: VirtualCoords | None = None
-    av: AlignedCoords | None = None          # None when alignment depth is 0
+    av: AlignedCoords | None = None          # None without virtual coordinates
     distance_kind: str = "euclid"
     semi_weight: float = dist_mod.DEFAULT_SEMI_WEIGHT
     _planar: dict[str, Topology] = field(default_factory=dict)
@@ -116,8 +116,7 @@ class RoutingContext:
             raise ProtocolError(f"{protocol} needs virtual coordinates")
         else:
             targets = self._vcs_float
-            aligned = spec.coords == CoordSource.ALIGNED and self.av is not None
-            local = self.av.matrix if aligned else targets
+            local = self.av.matrix if spec.coords == CoordSource.ALIGNED else targets
         return local, targets, dist_mod.field_function(spec.distance or self.distance_kind,
                                                        self.semi_weight)
 
@@ -137,9 +136,9 @@ def route(protocol: str, src: int, dst: int, ctx: RoutingContext) -> RouteResult
     t = ctx.topology
     if spec.recovery == Recovery.SHORTEST_PATH:
         return sp_route(src, dst, t)
-    if spec.recovery == Recovery.PERIMETER:
-        return gpsr_route(src, dst, ctx.geo_positions, ctx.planar(spec.planar), t, ctx.ttl)
     dfield = ctx.dfield(protocol, dst)
+    if spec.recovery == Recovery.PERIMETER:
+        return gpsr_route(src, dst, dfield, ctx.geo_positions, ctx.planar(spec.planar), t, ctx.ttl)
     if spec.recovery == Recovery.BACKTRACK:
         return lcr_route(src, dst, dfield, t, ctx.ttl)
     if spec.recovery == Recovery.BEACON:

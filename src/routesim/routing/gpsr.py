@@ -19,7 +19,6 @@ import math
 
 import numpy as np
 
-from routesim.distance import euclidean_field
 from routesim.routing.greedy import greedy_route
 from routesim.routing.planar import crossing_point
 from routesim.routing.result import Failure, Mode, RouteResult
@@ -106,20 +105,17 @@ def _perimeter_episode(
 def gpsr_route(
     src: int,
     dst: int,
-    positions: np.ndarray,
+    dfield: np.ndarray,
+    pos: np.ndarray,
     pg: Topology,
     t: Topology,
     ttl: int,
-    dfield: np.ndarray | None = None,
 ) -> RouteResult:
     """Greedy forwarding with perimeter-mode recovery on the planar subgraph.
 
-    ``dfield`` is the planar distance field toward dst; bulk evaluation
-    builds it once per destination and passes it in.
+    ``dfield`` is the planar distance field of the believed positions ``pos``
+    toward dst.
     """
-    pos = np.asarray(positions, dtype=float)
-    if dfield is None:
-        dfield = euclidean_field(pos, pos[dst])
     return greedy_route(
         src, dst, dfield, t, ttl,
         lambda u, path, modes: _perimeter_episode(u, dst, pos, pg, dfield, path, modes, ttl),

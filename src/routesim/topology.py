@@ -187,7 +187,8 @@ def _from_edges(d: Deployment, radio_range: float, edges) -> Topology:
         raise TopologyError(f"edge endpoint outside the node ids [0, {n})")
     if (e[:, 0] == e[:, 1]).any():
         raise TopologyError("self loop in the edge list")
-    keys = np.unique(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
+    keys = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
     return Topology(d, radio_range, _freeze(indptr), _freeze(keys % n))
@@ -295,36 +296,24 @@ def topology_from_adjacency(
     return _from_edges(Deployment(pos, width=w, height=h), radio_range, edges)
 
 
-@dataclass(frozen=True)
-class PerceivedPositions:
-    """Per-node believed positions: true position plus a bounded random offset.
+def perturb_positions(t: Topology, error_fraction: float, seed: int) -> np.ndarray:
+    """Read-only (n, 2) positions the nodes believe: true position plus an offset.
 
-    The offset is drawn uniformly from the disc of radius
-    ``error_fraction * radio_range``, fixed per node for the whole run.
+    Each node's offset is drawn uniformly from the disc of radius
+    ``error_fraction * radio_range`` and is fixed for the whole run.
     Connectivity always comes from true positions; perception only affects
     what nodes report to the routing layer.
     """
-
-    positions: np.ndarray  # (n, 2) float64, read-only
-    error_fraction: float
-    seed: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "positions", _freeze(np.asarray(self.positions, dtype=float)))
-
-
-def perturb_positions(t: Topology, error_fraction: float, seed: int) -> PerceivedPositions:
-    """Sample each node's perceived position inside its error disc."""
     if not 0.0 <= error_fraction <= 1.0:
         raise TopologyError("error fraction must lie in [0, 1]")
     n = t.n
     if error_fraction == 0.0:
-        return PerceivedPositions(t.positions.copy(), 0.0, seed)
+        return t.positions
     rng = np.random.default_rng(seed)
     radius = error_fraction * t.radio_range * np.sqrt(rng.random(n))
     theta = rng.random(n) * 2.0 * math.pi
     offsets = np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])
-    return PerceivedPositions(t.positions + offsets, error_fraction, seed)
+    return _freeze(t.positions + offsets)
 
 
 def format_topology(t: Topology) -> str:

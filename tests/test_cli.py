@@ -144,6 +144,20 @@ def test_sweep_negative_seed_is_a_point_error(cfg_file, capsys):
     assert captured.err == "sweep point -1: seed must be >= 0\n"
 
 
+def test_sweep_hole_count_over_a_rect_void(cfg_file, capsys):
+    # A rect void has no radius: the swept holes are discs of radius 2.0.
+    grid = "deployment = grid\nrows = 12\ncols = 12\nprotocol = gf-geo\n"
+    path = cfg_file(grid + "voids = rect:6,6,1.5,1.5\n")
+    assert run_cli(["--config", path, "sweep", "hole_count", "0", "1", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = captured.out.splitlines()
+    assert len(rows) == 4
+    one_hole = cfg_file(grid + "voids = disc:6,6,2.0\n", name="one_hole.cfg")
+    assert run_cli(["--config", one_hole, "eval"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == rows[2]
+
+
 def test_coords_dump(cfg_file, capsys):
     path = cfg_file(GRID_CFG.replace("gf-geo", "gf-avcs") + "align_depth = 1\n")
     assert run_cli(["--config", path, "coords"]) == 0

@@ -1,5 +1,6 @@
 import numpy as np
 
+from routesim.distance import euclidean_field
 from routesim.harness import Scenario, ScenarioConfig, evaluate
 from routesim.routing import (
     METHOD_GG,
@@ -37,7 +38,7 @@ def u_shape_topology():
 def test_gpsr_self_route():
     t, src, dst = u_shape_topology()
     pg = planarize(t, t.positions, METHOD_GG)
-    rr = gpsr_route(src, src, t.positions, pg, t, 100)
+    rr = gpsr_route(src, src, euclidean_field(t.positions, t.positions[src]), t.positions, pg, t, 100)
     assert rr.outcome == Outcome.DELIVERED_GREEDY and rr.hops == 0
 
 
@@ -50,7 +51,7 @@ def test_gpsr_local_minimum_without_planar_neighbor_outranks_spent_ttl():
     t = topology_from_adjacency(pos, [[1, 3], [], [3], []])
     pg = topology_from_adjacency(pos, [[3], [], [3], []])
     for ttl in (1, 100):
-        rr = gpsr_route(0, 2, t.positions, pg, t, ttl)
+        rr = gpsr_route(0, 2, euclidean_field(t.positions, t.positions[2]), t.positions, pg, t, ttl)
         assert rr.path == (0, 1)
         assert rr.failure_cause == Failure.LOCAL_MINIMUM
 
@@ -59,7 +60,7 @@ def test_gpsr_recovers_from_cul_de_sac():
     t, src, dst = u_shape_topology()
     assert t.n == 12
     pg = planarize(t, t.positions, METHOD_GG)
-    rr = gpsr_route(src, dst, t.positions, pg, t, 100)
+    rr = gpsr_route(src, dst, euclidean_field(t.positions, t.positions[dst]), t.positions, pg, t, 100)
     assert rr.outcome == Outcome.DELIVERED_MIXED
     assert rr.path[-1] == dst
     assert sum(m == Mode.PERIMETER for m in rr.modes) >= 1
@@ -105,7 +106,7 @@ def test_gpsr_random_instances_deliver_when_connected():
 def test_gpsr_mode_attribution():
     t, src, dst = u_shape_topology()
     pg = planarize(t, t.positions, METHOD_GG)
-    rr = gpsr_route(src, dst, t.positions, pg, t, 100)
+    rr = gpsr_route(src, dst, euclidean_field(t.positions, t.positions[dst]), t.positions, pg, t, 100)
     counts = rr.mode_counts()
     assert set(counts) <= {Mode.GREEDY, Mode.PERIMETER}
     assert (rr.outcome == Outcome.DELIVERED_GREEDY) == (counts.get(Mode.PERIMETER, 0) == 0)

@@ -5,13 +5,14 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from routesim.coords import CoordsError
+from routesim.coords import CoordsError, hop_diameter
 from routesim.harness import (
     ABC_A,
     ABC_B,
@@ -179,7 +180,7 @@ def test_build_and_evaluate_never_call_hop_matrix(monkeypatch, protocol):
     sc = Scenario.build(cfg)
     row = evaluate_scenario(sc)
     assert row.pairs == 800
-    assert sc.ctx.ttl == math.ceil(cfg.ttl_factor * sc.diameter())
+    assert sc.ctx.ttl == math.ceil(cfg.ttl_factor * hop_diameter(sc.topology))
     if protocol != "gf-avcs":
         assert not math.isnan(row.stretch_complementary)
 
@@ -299,6 +300,15 @@ def test_distance_map_fixture():
 def test_distance_map_bad_destination():
     with pytest.raises(ScenarioError):
         distance_map(fig_map_config(), 10_000)
+
+
+def test_abc_fixture_takes_loc_error():
+    base = ScenarioConfig(deployment="abc-fixture", protocol="gpsr-rng")
+    exact, noisy = (Scenario.build(replace(base, loc_error=e)) for e in (0.0, 0.5))
+    assert np.array_equal(exact.ctx.geo_positions, exact.topology.positions)
+    assert not np.array_equal(noisy.ctx.geo_positions, noisy.topology.positions)
+    rows = [replace(evaluate_scenario(sc), scenario_id="") for sc in (exact, noisy)]
+    assert rows[0] != rows[1]
 
 
 def test_fixture_abc_invariants():

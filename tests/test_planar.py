@@ -159,7 +159,7 @@ def planar_cases(draw):
                      for u, nbrs in enumerate(t.adjacency)]
         t = topology_from_adjacency(t.positions, adjacency, r, d.width, d.height)
     loc_error = draw(st.sampled_from([0.0, 0.0, 0.4, 1.0]))
-    return t, perturb_positions(t, loc_error, seed).positions
+    return t, perturb_positions(t, loc_error, seed)
 
 
 @settings(max_examples=300, deadline=None)
@@ -189,7 +189,7 @@ def test_planarize_edgeless_topology(xy):
 @pytest.mark.parametrize("pair_block", [1, 7, 100, planar._PAIR_BLOCK])
 def test_count_crossings_matches_pairwise_loop(pair_block):
     t = build_udg(generate_random(25, 4.0, 4.0, seed=3), 1.5)
-    pos = perturb_positions(t, 0.4, 3).positions
+    pos = perturb_positions(t, 0.4, 3)
     edges = t.edges().tolist()
     want = sum(
         segments_properly_cross(pos[a], pos[b], pos[c], pos[e])
