@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from routesim.topology import Topology, _freeze
+from routesim.topology import Topology, _edge_ids, _freeze
 
 RULE_SELF_WEIGHTED = "self-weighted"      # new = (neighbor mean + own) / 2
 RULE_UNIFORM_AVERAGE = "uniform-average"  # new = (neighbor sum + own) / (n + 1)
@@ -83,8 +83,8 @@ class AlignedCoords:
         return self.matrix.shape[1]
 
 
-# Roots per bit-parallel pass: eight uint64 words per node.
-_ROOT_CHUNK = 512
+# Roots per bit-parallel pass: sixteen uint64 words per node.
+_ROOT_CHUNK = 1024
 
 
 def pair_hops(t: Topology, srcs, dsts) -> np.ndarray:
@@ -93,15 +93,17 @@ def pair_hops(t: Topology, srcs, dsts) -> np.ndarray:
     Bit-parallel breadth-first search, one bit per root (the bit-parallel
     labels of Akiba, Iwata & Yoshida, SIGMOD 2013).  The distinct ``dsts`` are
     the roots, ``_ROOT_CHUNK`` per pass; frontier and visited sets are
-    (n, words) uint64 bitsets.  Distances are kept bit-sliced: plane b holds
-    bit b of the level at which a root's search first reached a node.  Only
-    the requested (src, root) bits are read back.
+    (n, words) uint64 bitsets over the degree-ordered node ids of
+    ``t.degree_order``.  Distances are kept bit-sliced: plane b holds bit b of
+    the level at which a root's search first reached a node.  Only the
+    requested (src, root) bits are read back, through each source's rank.
     """
     srcs = np.asarray(srcs, dtype=np.int64)
     dsts = np.asarray(dsts, dtype=np.int64)
     out = np.full(len(srcs), np.inf)
     if len(srcs) == 0:
         return out
+    rank = t.degree_order.rank
     roots = np.flatnonzero(np.bincount(dsts, minlength=t.n))
     slot = np.zeros(t.n, dtype=np.int64)
     slot[roots] = np.arange(len(roots))
@@ -109,13 +111,14 @@ def pair_hops(t: Topology, srcs, dsts) -> np.ndarray:
         chunk = roots[lo:lo + _ROOT_CHUNK]
         mine = np.flatnonzero((dsts >= chunk[0]) & (dsts <= chunk[-1]))
         col = slot[dsts[mine]] - lo
-        word, bit = col >> 6, (col & 63).astype(np.uint64)
-        s = srcs[mine]
         visited, planes = _bit_bfs(t, chunk)
+        # Flat position of each pair's word in the (n, words) bitsets.
+        at = rank[srcs[mine]] * visited.shape[1] + (col >> 6)
+        bit = (col & 63).astype(np.uint64)
         hops = np.zeros(len(mine), dtype=np.uint64)
         for b, plane in enumerate(planes):
-            hops |= ((plane[s, word] >> bit) & 1) << np.uint64(b)
-        reached = ((visited[s, word] >> bit) & 1).astype(bool)
+            hops |= ((plane.take(at) >> bit) & 1) << np.uint64(b)
+        reached = ((visited.take(at) >> bit) & 1).astype(bool)
         out[mine] = np.where(reached, hops, np.inf)
     return out
 
@@ -123,36 +126,45 @@ def pair_hops(t: Topology, srcs, dsts) -> np.ndarray:
 def _bit_bfs(t: Topology, roots: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """(visited bitset, bit planes of each node's level) of one pass of roots.
 
-    One level ORs, for each node, its neighbors' frontier rows over the CSR
-    adjacency.  While the frontier's edges are a small share of all edges,
-    only the rows next to the frontier are reduced (the top-down half of
+    Rows are the degree-ordered ids of ``t.degree_order``: node v is row
+    ``rank[v]``.  A level ORs, for each node, its neighbors' frontier rows.
+    A dense level takes the view's columns one at a time: column k, the k-th
+    neighbors of the rows of degree > k, is a row prefix, and its frontier
+    rows are ORed into that prefix in place.  While the frontier's edges are
+    a small share of all edges, only the rows next to the frontier are
+    reduced, over a gather of their CSR neighbors (the top-down half of
     direction-optimizing search, Beamer et al., SC 2012).
     """
-    indptr, indices = t.indptr, t.indices
+    view = t.degree_order
+    indptr, indices = view.indptr, view.indices
     degree = np.diff(indptr)
-    # reduceat returns the start element, not zero, for an empty segment, so
-    # only rows with at least one neighbor are reduced.
-    rows = np.flatnonzero(degree)
-    starts = indptr[rows]
     j = np.arange(len(roots))
     frontier = np.zeros((t.n, (len(roots) + 63) // 64), dtype=np.uint64)
-    frontier[roots, j >> 6] = np.uint64(1) << (j & 63).astype(np.uint64)
+    frontier[view.rank[roots], j >> 6] = np.uint64(1) << (j & 63).astype(np.uint64)
     visited = frontier.copy()
+    reached = np.empty_like(frontier)
+    rows = np.empty_like(frontier)
+    # Each column with the row prefixes it takes into and ORs into, sliced
+    # once per pass: per level, a column costs one take and one OR.
+    dense = [(column, rows[:len(column)], reached[:len(column)]) for column in view.columns]
     planes: list[np.ndarray] = []
     level = 0
-    while len(rows):
-        active = np.flatnonzero(frontier.any(axis=1))
+    while True:
+        reached.fill(0)
+        active = frontier.any(axis=1)
         if 4 * degree[active].sum() < len(indices):
             near = np.zeros(t.n, dtype=bool)
-            near[indices[_edge_ids(indptr, active)]] = True
+            near[indices[_edge_ids(indptr, np.flatnonzero(active))]] = True
             sub = np.flatnonzero(near)
             gathered = frontier[indices[_edge_ids(indptr, sub)]]
-            sub_starts = np.cumsum(degree[sub]) - degree[sub]
+            reached[sub] = np.bitwise_or.reduceat(gathered, np.cumsum(degree[sub]) - degree[sub], axis=0)
         else:
-            sub, gathered, sub_starts = rows, frontier[indices], starts
-        reached = np.zeros_like(frontier)
-        reached[sub] = np.bitwise_or.reduceat(gathered, sub_starts, axis=0)
-        frontier = reached & ~visited
+            for column, taken, prefix in dense:
+                # mode="clip" lets take write straight into ``out``; the
+                # default mode would copy through a temporary.
+                frontier.take(column, axis=0, out=taken, mode="clip")
+                prefix |= taken
+        np.bitwise_and(reached, ~visited, out=frontier)
         if not frontier.any():
             break
         visited |= frontier
@@ -163,12 +175,6 @@ def _bit_bfs(t: Topology, roots: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
             if level >> b & 1:
                 plane |= frontier
     return visited, planes
-
-
-def _edge_ids(indptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Positions in the CSR index array of every edge of ``nodes``, node by node."""
-    counts = indptr[nodes + 1] - indptr[nodes]
-    return np.repeat(indptr[nodes] - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 
 def hop_counts(t: Topology, anchor: int) -> np.ndarray:

@@ -139,13 +139,14 @@ class ScenarioConfig:
 
     def scenario_id(self) -> str:
         tag = hashlib.md5(repr(self).encode()).hexdigest()[:8]
+        radio_range = self.radio_range
         if self.deployment == "grid":
             base = f"grid{self.rows}x{self.cols}"
         elif self.deployment == "random":
             base = f"rand{self.n}"
         else:
-            base = "abc"
-        return f"{base}-r{self.radio_range:g}-{self.protocol}-{tag}"
+            base, radio_range = "abc", ABC_RADIO_RANGE  # the fixture ignores radio_range
+        return f"{base}-r{radio_range:g}-{self.protocol}-{tag}"
 
     @property
     def spec(self) -> ProtocolSpec:
@@ -741,6 +742,7 @@ def fig_map_config(protocol: str = "gf-vcs", align_depth: int = 0) -> ScenarioCo
 # chain, yet C's forwarding set toward A is empty under both the Euclidean and
 # the Manhattan coordinate distance).
 ABC_A, ABC_B, ABC_C = 0, 1, 2
+ABC_RADIO_RANGE = 1.0
 ABC_VECTORS = {
     ABC_A: (3, 9, 7, 11),
     ABC_B: (2, 9, 8, 11),
@@ -793,7 +795,7 @@ def fixture_abc() -> tuple[Topology, VirtualCoords]:
 
     scaffold = topology_from_adjacency(np.zeros((n_nodes, 2)), adj)
     positions = _layered_positions(hop_counts(scaffold, ABC_A))
-    t = topology_from_adjacency(positions, adj, radio_range=1.0)
+    t = topology_from_adjacency(positions, adj, radio_range=ABC_RADIO_RANGE)
     vc = build_vcs(t, AnchorSet((anchor1, anchor2, anchor3, anchor4)))
     for node, expected in ABC_VECTORS.items():
         got = tuple(int(x) for x in vc.matrix[node])

@@ -12,6 +12,7 @@ import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,6 +85,22 @@ class VoidSpec:
         if self.kind == "disc":
             return dx * dx + dy * dy <= self.radius * self.radius
         return (np.abs(dx) <= self.half_w) & (np.abs(dy) <= self.half_h)
+
+
+class DegreeOrder(NamedTuple):
+    """The adjacency relabelled by descending degree, ties by id.
+
+    ``rank[v]`` is node v's new id.  ``indptr`` and ``indices`` are the CSR
+    arrays in new ids, each row keeping the neighbor order of the original
+    row.  ``columns[k]`` holds the k-th neighbor of every row of degree > k;
+    those rows are a prefix of the new ids, so column k covers rows
+    ``0 .. len(columns[k]) - 1``.
+    """
+
+    rank: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    columns: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -173,6 +190,28 @@ class Topology:
         ids = np.zeros(mask.shape, dtype=np.int64)
         ids[mask] = self.indices
         return _freeze(ids), _freeze(mask)
+
+    @cached_property
+    def degree_order(self) -> DegreeOrder:
+        """The degree-ordered relabelling, built once; the bit-parallel
+        breadth-first search runs on it for every pass of roots."""
+        degree = np.diff(self.indptr)
+        order = np.argsort(-degree, kind="stable")
+        rank = np.empty(self.n, dtype=np.int64)
+        rank[order] = np.arange(self.n)
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(degree[order], out=indptr[1:])
+        indices = rank[self.indices[_edge_ids(self.indptr, order)]]
+        # Rows of degree > k, the prefix column k covers, for every k.
+        lengths = np.searchsorted(-np.diff(indptr), -np.arange(int(degree.max(initial=0))))
+        columns = tuple(_freeze(indices[indptr[:c] + k]) for k, c in enumerate(lengths.tolist()))
+        return DegreeOrder(_freeze(rank), _freeze(indptr), _freeze(indices), columns)
+
+
+def _edge_ids(indptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Positions in the CSR index array of every edge of ``nodes``, node by node."""
+    counts = indptr[nodes + 1] - indptr[nodes]
+    return np.repeat(indptr[nodes] - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 
 def _from_edges(d: Deployment, radio_range: float, edges) -> Topology:

@@ -311,6 +311,15 @@ def test_abc_fixture_takes_loc_error():
     assert rows[0] != rows[1]
 
 
+def test_abc_fixture_id_prints_the_fixture_range():
+    # The fixture ignores the configured range; its id prints the range of
+    # the topology it builds.
+    for radio_range in (1.2, 2.5):
+        cfg = ScenarioConfig(deployment="abc-fixture", protocol="gpsr-rng", radio_range=radio_range)
+        t = Scenario.build(cfg).topology
+        assert cfg.scenario_id().startswith(f"abc-r{t.radio_range:g}-gpsr-rng-")
+
+
 def test_fixture_abc_invariants():
     t, vc = fixture_abc()
     assert check_edge_lipschitz(vc, t)

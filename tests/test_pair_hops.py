@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from routesim import coords
 from routesim.coords import CoordsError, hop_counts, hop_diameter, pair_hops
 from routesim.topology import build_udg, generate_random, topology_from_adjacency
 
@@ -38,10 +39,16 @@ def _diameter(g):
 @st.composite
 def topologies(draw):
     """Sparse random graphs, often disconnected and with isolated nodes; some
-    carry a path component longer than 255 hops, hung off node 0 or not."""
+    carry a hub of degree >= 100 joined to some of them, and some a path
+    component longer than 255 hops, hung off node 0 or not."""
     n = draw(st.integers(1, 160))
     node = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    if draw(st.booleans()):
+        joined = draw(st.sets(node))
+        fresh = max(0, 100 - len(joined)) + draw(st.integers(0, 40))
+        edges += [(n, v) for v in joined] + [(n, n + 1 + i) for i in range(fresh)]
+        n += 1 + fresh
     if draw(st.booleans()):
         edges += [(n + i, n + i + 1) for i in range(LONG_PATH)]
         if draw(st.booleans()):
@@ -75,14 +82,40 @@ def test_hop_diameter_matches_networkx_per_component(t):
 
 
 def test_pair_hops_over_several_root_passes():
-    # 700 distinct roots take two passes; the deployment leaves isolated
-    # nodes and several components.
-    t = build_udg(generate_random(700, 20.0, 20.0, 4), 1.0)
+    # Two full passes of roots and a partial third; the deployment (mean
+    # degree about 5.5) leaves isolated nodes and several components.
+    roots = 2 * coords._ROOT_CHUNK + coords._ROOT_CHUNK // 3
+    n = roots + roots // 4
+    side = 20.0 * (n / 700) ** 0.5
+    t = build_udg(generate_random(n, side, side, 4), 1.0)
     g = _graph(t)
     assert nx.number_connected_components(g) > 1 and any(len(a) == 0 for a in t.adjacency)
     rng = np.random.default_rng(0)
-    srcs = rng.integers(0, t.n, 4000)
-    dsts = np.concatenate([np.arange(t.n), rng.integers(0, t.n, 4000 - t.n)])
+    srcs = rng.integers(0, t.n, 2 * n)
+    dsts = np.concatenate([np.arange(roots), rng.integers(0, roots, 2 * n - roots)])
+    assert len(np.unique(dsts)) == roots
+    assert np.array_equal(pair_hops(t, srcs, dsts), _expected(g, srcs.tolist(), dsts.tolist()))
+    assert hop_diameter(t) == _diameter(g)
+
+
+def test_pair_hops_hub_path_and_isolated_nodes():
+    # A hub of degree 150 whose leaves are sparsely linked, a path of 300
+    # hops hung off its last leaf, and isolated nodes: the dense levels OR
+    # column prefixes of lengths from 1 to most of the graph, and the path
+    # reaches the hub only through the hub's own last column.
+    rng = np.random.default_rng(5)
+    hub, leaves, isolated = 0, 150, 20
+    edges = [(hub, v) for v in range(1, leaves + 1)]
+    edges += [tuple(e) for e in rng.integers(1, leaves + 1, (200, 2))]
+    first = leaves + 1
+    edges += [(leaves, first)] + [(first + i, first + i + 1) for i in range(LONG_PATH - 1)]
+    n = first + LONG_PATH + isolated
+    t = _topology(n, edges)
+    assert max(len(a) for a in t.adjacency) >= 100 and t.adjacency[-1] == ()
+    g = _graph(t)
+    roots = np.concatenate([[hub, n - 1, first + LONG_PATH - 1], rng.choice(n, 97, replace=False)])
+    srcs = np.tile(np.arange(n), len(roots))
+    dsts = np.repeat(roots, n)
     assert np.array_equal(pair_hops(t, srcs, dsts), _expected(g, srcs.tolist(), dsts.tolist()))
     assert hop_diameter(t) == _diameter(g)
 

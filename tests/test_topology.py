@@ -293,6 +293,33 @@ def test_edge_array_views_match_set_reference(case):
     assert not (ids.flags.writeable or mask.flags.writeable)
 
 
+@settings(max_examples=200, deadline=None)
+@given(edge_lists())
+def test_degree_order_view(case):
+    n, adjacency = case
+    t = topology_from_adjacency(np.zeros((n, 2)), adjacency)
+    view = t.degree_order
+    assert view is t.degree_order  # built once per topology
+    degree = np.diff(t.indptr)
+    # rank is a permutation; new ids run by descending degree, ties by id
+    assert sorted(view.rank.tolist()) == list(range(n))
+    order = np.argsort(view.rank)
+    assert sorted(range(n), key=lambda v: (-degree[v], v)) == order.tolist()
+    # column k holds the k-th neighbor of exactly the rows of degree > k
+    new_degree = np.diff(view.indptr)
+    assert len(view.columns) == degree.max()
+    for k, column in enumerate(view.columns):
+        assert np.array_equal(np.flatnonzero(new_degree > k), np.arange(len(column)))
+        assert np.array_equal(column, view.indices[view.indptr[:len(column)] + k])
+    # relabelling the view's CSR back gives the topology's own arrays
+    rows = [order[view.indices[a:b]].tolist() for a, b in zip(view.indptr, view.indptr[1:])]
+    old_rows = [rows[view.rank[u]] for u in range(n)]
+    assert np.array_equal(np.cumsum([0] + [len(r) for r in old_rows]), t.indptr)
+    assert [v for r in old_rows for v in r] == t.indices.tolist()
+    arrays = (view.rank, view.indptr, view.indices, *view.columns)
+    assert not any(a.flags.writeable for a in arrays)
+
+
 @pytest.mark.parametrize("adjacency", [
     [[1], [1]],          # self loop
     [[1], [2]],          # neighbor id past the last node
