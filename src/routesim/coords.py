@@ -275,7 +275,8 @@ def align(vc: VirtualCoords, t: Topology, depth: int, rule: str = RULE_SELF_WEIG
         raise CoordsError(f"unknown alignment rule {rule!r}")
     a = vc.matrix.astype(float)
     if depth > 0:
-        ids, mask = t.neighbor_matrix()
+        ids = t.neighbor_matrix()
+        mask = ids != np.arange(t.n)[:, None]
         deg = np.diff(t.indptr).astype(float)
         isolated = deg == 0
         safe_deg = np.where(isolated, 1.0, deg)

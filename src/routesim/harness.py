@@ -308,7 +308,7 @@ class _Outcomes(NamedTuple):
 # length, which grows like sqrt(n) on a planar deployment of fixed density;
 # the forest's grows with n.  The constant is the measured crossover of the
 # two (CHANGES.md).
-LOCKSTEP_CROSSOVER = 0.25
+LOCKSTEP_CROSSOVER = 0.5
 
 
 def _eval_run(sc: Scenario, srcs: np.ndarray, groups: list[tuple[int, int, int]]) -> _Outcomes:

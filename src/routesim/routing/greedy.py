@@ -89,8 +89,8 @@ def greedy_successors(dfield: np.ndarray, t: Topology, dst: int) -> np.ndarray:
     matches greedy_next_hop's lowest-id tie-break exactly.  Nodes adjacent to
     the destination hand the packet over directly, as greedy_next_hop does.
     """
-    ids, mask = t.neighbor_matrix()
-    vals = np.where(mask, dfield[ids], np.inf)
+    ids = t.neighbor_matrix()
+    vals = dfield[ids]            # a pad is the node itself, never strictly closer
     am = np.argmin(vals, axis=1)
     rows = np.arange(t.n)
     succ = np.where(vals[rows, am] < dfield, ids[rows, am], rows)
@@ -120,7 +120,7 @@ def greedy_walks(succ: np.ndarray, dst: int, ttl: int) -> tuple[np.ndarray, np.n
 
 
 # Pairs greedy_lockstep advances together: its temporaries hold at most
-# LOCKSTEP_BATCH * (max degree + 1) coordinate rows.
+# LOCKSTEP_BATCH * max degree coordinate rows.
 LOCKSTEP_BATCH = 1024
 
 
@@ -130,30 +130,34 @@ def greedy_lockstep(srcs: np.ndarray, dsts: np.ndarray, coords: np.ndarray, targ
 
     Node u compares ``coords[u]`` with ``targets[dst]`` under ``field``, the
     protocol's distance field function.  Each step evaluates the field on
-    the gathered rows of the current nodes and their neighbors, one row per
+    the gathered rows of the current nodes' neighbor-table rows, one row per
     (pair, candidate), so every distance is the float its full-field entry
-    would be.  Ties go to the lowest id, a neighboring destination takes the
-    packet directly and the TTL is checked before each hop, as in
-    greedy_route.  Hops are counted up to where the walk stops or to the
-    TTL, whichever comes first; outcomes otherwise match greedy_walks.
+    would be.  Each pair carries its current node's distance from step to
+    step: the source's to start, then the winning candidate's.  A pad of the
+    table is the current node itself, which evaluates to exactly that
+    distance and so never wins.  Ties go to the lowest id, a neighboring
+    destination takes the packet directly and the TTL is checked before each
+    hop, as in greedy_route.  Hops are counted up to where the walk stops or
+    to the TTL, whichever comes first; outcomes otherwise match greedy_walks.
     """
     srcs = np.asarray(srcs, dtype=np.int64)
     dsts = np.asarray(dsts, dtype=np.int64)
     delivered = np.zeros(len(srcs), dtype=bool)
     hops = np.zeros(len(srcs), dtype=np.int64)
     timed_out = np.zeros(len(srcs), dtype=bool)
-    ids, mask = t.neighbor_matrix()
-    width = ids.shape[1] + 1      # the neighbors, then the current node itself
+    ids = t.neighbor_matrix()
+    width = ids.shape[1]
     for lo in range(0, len(srcs), LOCKSTEP_BATCH):
         live = np.arange(lo, min(lo + LOCKSTEP_BATCH, len(srcs)))
         cur = srcs[live]
         dst = dsts[live]
+        here = field(coords[cur], targets[dst])
         step = 0                  # hops made so far, the same for every live pair
         while True:
             arrived = cur == dst
             delivered[live[arrived]] = True
             hops[live[arrived]] = step
-            live, cur, dst = live[~arrived], cur[~arrived], dst[~arrived]
+            live, cur, dst, here = live[~arrived], cur[~arrived], dst[~arrived], here[~arrived]
             m = len(live)
             if m == 0:
                 break
@@ -161,18 +165,18 @@ def greedy_lockstep(srcs: np.ndarray, dsts: np.ndarray, coords: np.ndarray, targ
                 hops[live] = step
                 timed_out[live] = True
                 break
-            rows = np.concatenate((ids[cur], cur[:, None]), axis=1)
-            vals = field(np.take(coords, rows.ravel(), axis=0),
-                         np.repeat(targets[dst], width, axis=0)).reshape(m, width)
-            nbr = mask[cur]
-            near = np.where(nbr, vals[:, :-1], np.inf)
-            am = np.argmin(near, axis=1)
-            at = np.arange(m)
-            nxt = np.where(near[at, am] < vals[:, -1], rows[at, am], -1)
-            nxt = np.where(((rows[:, :-1] == dst[:, None]) & nbr).any(axis=1), dst, nxt)
+            rows = np.take(ids, cur, axis=0).ravel()
+            vals = field(np.take(coords, rows, axis=0),
+                         np.repeat(np.take(targets, dst, axis=0), width, axis=0))
+            # flat index of each pair's first closest candidate
+            win = np.argmin(vals.reshape(m, width), axis=1) + np.arange(0, m * width, width)
+            best = vals[win]
+            nxt = np.where(best < here, rows[win], -1)
+            near = np.flatnonzero(rows.reshape(m, width) == dst[:, None]) // width
+            nxt[near] = dst[near]
             stuck = nxt < 0       # a local minimum before the TTL ran out
             hops[live[stuck]] = step
-            live, cur, dst = live[~stuck], nxt[~stuck], dst[~stuck]
+            live, cur, dst, here = live[~stuck], nxt[~stuck], dst[~stuck], best[~stuck]
             step += 1
     return delivered, hops, timed_out
 

@@ -44,14 +44,13 @@ def planarize(t: Topology, positions: np.ndarray, method: str) -> Topology:
     if method not in (METHOD_GG, METHOD_RNG):
         raise ValueError(f"unknown planarization method {method!r}")
     pos = np.asarray(positions, dtype=float)
-    ids, valid = t.neighbor_matrix()
+    ids = t.neighbor_matrix()
     edges = t.edges()
     keep = np.ones(len(edges), dtype=bool)
     for lo in range(0, len(edges), _EDGE_BLOCK):
         u, v = edges[lo:lo + _EDGE_BLOCK].T
         w = np.concatenate([ids[u], ids[v]], axis=1)
-        is_witness = np.concatenate([valid[u], valid[v]], axis=1)
-        is_witness &= (w != u[:, None]) & (w != v[:, None])
+        is_witness = (w != u[:, None]) & (w != v[:, None])  # also drops the pads
         pu, pv, pw = pos[u][:, None], pos[v][:, None], pos[w]
         if method == METHOD_GG:
             mid = (pu + pv) / 2.0

@@ -173,23 +173,24 @@ class Topology:
         upper = u < self.indices
         return np.column_stack([u[upper], self.indices[upper]])
 
-    def neighbor_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Padded (n, max_deg) neighbor-id matrix plus validity mask.
+    def neighbor_matrix(self) -> np.ndarray:
+        """Read-only (n, max(max_deg, 1)) neighbor-id matrix, padded with the row's own id.
 
-        Rows are padded with 0 and masked out; neighbor ids appear in
-        ascending order so first-occurrence argmin resolves distance ties
-        toward the lowest node id.  Built once; greedy forwarding reads it
-        for every destination.
+        Neighbor ids appear in ascending order so first-occurrence argmin
+        resolves distance ties toward the lowest node id; a pad holds the
+        node itself, so it evaluates to the node's own distance and never
+        beats it.  An isolated node's row is all its own id.  Built once;
+        greedy forwarding reads it for every destination.
         """
         return self._padded
 
     @cached_property
-    def _padded(self) -> tuple[np.ndarray, np.ndarray]:
+    def _padded(self) -> np.ndarray:
         degree = np.diff(self.indptr)
-        mask = np.arange(max(int(degree.max()), 1)) < degree[:, None]
-        ids = np.zeros(mask.shape, dtype=np.int64)
-        ids[mask] = self.indices
-        return _freeze(ids), _freeze(mask)
+        width = max(int(degree.max()), 1)
+        ids = np.repeat(np.arange(self.n)[:, None], width, axis=1)
+        ids[np.arange(width) < degree[:, None]] = self.indices
+        return _freeze(ids)
 
     @cached_property
     def degree_order(self) -> DegreeOrder:

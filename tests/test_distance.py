@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from routesim import distance as dm
+from routesim.harness import Scenario, ScenarioConfig
+from routesim.routing import Failure, greedy_route
+from routesim.routing.greedy import greedy_lockstep
 
 
 def euclid(a, b) -> float:
@@ -118,3 +123,82 @@ def test_field_function_selection():
         dm.field_function("nope")
     m = np.array([[0.0, 0.0], [3.0, 4.0]])
     assert dm.field_function("geo")(m, (0.0, 0.0))[1] == 5.0
+
+
+# Widths around every branch of numpy's pairwise row sum: the in-order sum
+# below 8 columns, the 8 accumulators up to 128, the halving above 128.
+ROW_SUM_WIDTHS = (*range(1, 21), 127, 128, 129, 130, 300)
+
+
+def bits(a: np.ndarray) -> list[int]:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64).tolist()
+
+
+@st.composite
+def float_rows(draw, width: int) -> np.ndarray:
+    """1-3 rows of terms within a drawn number of binades of each other, whose
+    sum rounds differently in any other order, with a drawn share of signed
+    zeros and a few extreme entries."""
+    rows = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.integers(0, 60))
+    a = np.ldexp(rng.uniform(-1.0, 1.0, (rows, width)), rng.integers(-spread, 1, (rows, width)))
+    zero = rng.random((rows, width)) < draw(st.sampled_from((0.0, 0.3, 1.0)))
+    a[zero] = np.copysign(0.0, rng.uniform(-1.0, 1.0, int(zero.sum())))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, rows - 1)), draw(st.integers(0, width - 1))
+        a[at] = draw(st.floats(-1e300, 1e300))
+    return a
+
+
+@pytest.mark.parametrize("width", ROW_SUM_WIDTHS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_row_sums_is_numpy_row_sum_bit_for_bit(width, data):
+    a = data.draw(float_rows(width))
+    assert bits(dm.row_sums(a)) == bits(a.sum(axis=1))
+
+
+@pytest.mark.parametrize("width", ROW_SUM_WIDTHS)
+def test_row_sums_of_negative_zeros_is_positive_zero(width):
+    a = np.full((2, width), -0.0)
+    assert bits(dm.row_sums(a)) == bits(a.sum(axis=1)) == bits(np.zeros(2))
+
+
+@pytest.mark.parametrize("width", ROW_SUM_WIDTHS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_manhattan_and_semi_fields_match_numpy_row_sums(width, data):
+    """Entries equal to the target's give exact zero differences of either sign."""
+    matrix = data.draw(float_rows(width))
+    target = data.draw(arrays(np.int64, width, elements=st.integers(-3, 3)))
+    same = data.draw(arrays(bool, matrix.shape))
+    matrix[same] = np.broadcast_to(target, matrix.shape)[same]
+    diff = matrix - target.astype(float)
+    assert bits(dm.manhattan_field(matrix, target)) == bits(np.abs(diff).sum(axis=1))
+    for weight in (1.0, 10.0):
+        want = (weight * np.clip(diff, 0.0, None).sum(axis=1)
+                + np.clip(-diff, 0.0, None).sum(axis=1))
+        assert bits(dm.semi_manhattan_field(matrix, target, weight)) == bits(want)
+
+
+@pytest.mark.parametrize("anchors", [(0, 13, 167), (0, 6, 13, 60, 84, 97, 154, 161, 167)])
+@pytest.mark.parametrize("distance", ["semi", "manhattan"])
+@pytest.mark.parametrize("protocol,align_depth", [("gf-vcs", 0), ("gf-avcs", 2)])
+def test_lockstep_matches_greedy_route_on_hand_anchors(anchors, distance, protocol, align_depth):
+    """Nine anchors take the fields through the 8-accumulator row sum."""
+    cfg = ScenarioConfig(rows=12, cols=14, radio_range=1.5, anchors=anchors, distance=distance,
+                         protocol=protocol, align_depth=align_depth, ttl_factor=0.8)
+    sc = Scenario.build(cfg)
+    t, ttl = sc.topology, sc.ctx.ttl
+    rng = np.random.default_rng(len(anchors))
+    srcs = rng.integers(0, t.n, 600)
+    dsts = rng.integers(0, t.n, 600)
+    ok, hops, timed_out = greedy_lockstep(srcs, dsts, *sc.ctx.field_inputs(protocol), t, ttl)
+    seen = set()
+    for i, (src, dst) in enumerate(zip(srcs.tolist(), dsts.tolist())):
+        rr = greedy_route(src, dst, sc.ctx.dfield(protocol, dst), t, ttl)
+        assert rr.delivered == ok[i] and rr.hops == hops[i]
+        assert timed_out[i] == (rr.failure_cause == Failure.TTL_EXCEEDED)
+        seen.add(rr.failure_cause)
+    assert None in seen and len(seen) > 1  # some pairs delivered, some not

@@ -178,8 +178,9 @@ def test_planarize_matches_per_edge_loop(case, block):
 def test_planarize_edgeless_topology(xy):
     d = Deployment(np.array(xy), width=3.0, height=3.0)
     t = build_udg(d, 1.0)
-    _, mask = t.neighbor_matrix()
-    assert t.edges().shape == (0, 2) and mask.shape == (t.n, 1) and not mask.any()
+    ids = t.neighbor_matrix()
+    assert t.edges().shape == (0, 2)
+    assert ids.tolist() == [[u] for u in range(t.n)]  # every row is all its own id
     for method in (METHOD_GG, METHOD_RNG):
         pg = planarize(t, t.positions, method)
         assert pg.n_edges == 0 and pg.edges().shape == (0, 2)

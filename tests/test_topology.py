@@ -284,13 +284,15 @@ def test_edge_array_views_match_set_reference(case):
     assert all(type(v) is int for nbrs in t.adjacency for v in nbrs)
     assert t.n_edges == sum(len(s) for s in ref) // 2
     assert t.edges().tolist() == [[u, v] for u in range(n) for v in expect[u] if u < v]
-    ids, mask = t.neighbor_matrix()
-    assert ids.shape == mask.shape == (n, max(1, max(len(a) for a in expect)))
+    ids = t.neighbor_matrix()
+    width = max(1, max(len(a) for a in expect))
+    assert ids.shape == (n, width) and ids.dtype == np.int64
     for u, nbrs in enumerate(expect):
-        assert ids[u][mask[u]].tolist() == list(nbrs)
-        assert not ids[u][~mask[u]].any()
+        # the ascending neighbors, then only the row's own id
+        assert ids[u].tolist() == list(nbrs) + [u] * (width - len(nbrs))
     assert not (t.indptr.flags.writeable or t.indices.flags.writeable)
-    assert not (ids.flags.writeable or mask.flags.writeable)
+    assert not ids.flags.writeable
+    assert t.neighbor_matrix() is ids
 
 
 @settings(max_examples=200, deadline=None)
