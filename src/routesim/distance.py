@@ -30,32 +30,18 @@ def euclidean_field(matrix: np.ndarray, v_dst: np.ndarray) -> np.ndarray:
 def row_sums(a: np.ndarray) -> np.ndarray:
     """``a.sum(axis=1)``, bit for bit, of a 2-D float array of one or more columns.
 
-    numpy reduces each contiguous row with its pairwise sum: below 8 terms
-    in order; up to 128 in 8 interleaved accumulators combined as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the leftover terms in
-    order; above 128 as two halves split at a multiple of 8.  It starts
-    from 0.0, so a row of -0.0 sums to 0.0: each first term is added to 0.0
-    as it is copied.  The same additions done on whole columns skip numpy's
-    per-row loop call, which dominates for the few columns a coordinate row
-    has.
+    Below 8 terms numpy sums each row in order, starting from 0.0 (so a row
+    of -0.0 sums to 0.0).  The same additions done on whole columns skip
+    numpy's per-row loop call, which dominates for the few columns a
+    coordinate row has; wider rows go to numpy itself.
     """
     n = a.shape[1]
-    if n < 8:
-        res = a[:, 0] + 0.0
-        for j in range(1, n):
-            res += a[:, j]
-        return res
-    if n <= 128:
-        r = a[:, :8] + 0.0
-        end = n - n % 8
-        for j in range(8, end, 8):
-            r += a[:, j:j + 8]
-        res = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
-        for j in range(end, n):
-            res += a[:, j]
-        return res
-    half = n // 2 - n // 2 % 8
-    return row_sums(a[:, :half]) + row_sums(a[:, half:])
+    if n >= 8:
+        return a.sum(axis=1)
+    res = a[:, 0] + 0.0
+    for j in range(1, n):
+        res += a[:, j]
+    return res
 
 
 def manhattan_field(matrix: np.ndarray, v_dst: np.ndarray) -> np.ndarray:

@@ -307,7 +307,8 @@ class _Outcomes(NamedTuple):
 # forest over all n nodes.  Lockstep work grows with k times the route
 # length, which grows like sqrt(n) on a planar deployment of fixed density;
 # the forest's grows with n.  The constant is the measured crossover of the
-# two (CHANGES.md).
+# two on a 50x50 grid; a random 5000-node deployment crosses a little lower
+# (CHANGES.md).  It never changes the outcomes.
 LOCKSTEP_CROSSOVER = 0.5
 
 
