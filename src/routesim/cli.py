@@ -53,14 +53,14 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def cmd_gen(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load_config(args)
     sc = Scenario.build(cfg)
     _write_out(format_topology(sc.topology), args.out)
     return EXIT_OK
 
 
 def cmd_coords(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load_config(args)
     if cfg.spec.coords == CoordSource.GEO:
         return _fail("coords needs a virtual-coordinate protocol (gf-vcs, gf-avcs, lcr, bvr)")
     _write_out(format_coords(Scenario.build(cfg).av), args.out)
@@ -68,7 +68,7 @@ def cmd_coords(args) -> int:
 
 
 def cmd_route(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load_config(args)
     sc = Scenario.build(cfg)
     n = sc.topology.n
     if not (0 <= args.src < n and 0 <= args.dst < n):
@@ -121,7 +121,7 @@ def _parse_axis_value(axis: str, v: str):
 
 
 def cmd_map(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load_config(args)
     dm = distance_map(cfg, args.dst)
     _write_out(dm.csv(), args.out)
     return EXIT_OK

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from routesim.topology import Topology, _edge_ids, _freeze
+from routesim.topology import Topology, _freeze
 
 RULE_SELF_WEIGHTED = "self-weighted"      # new = (neighbor mean + own) / 2
 RULE_UNIFORM_AVERAGE = "uniform-average"  # new = (neighbor sum + own) / (n + 1)
@@ -94,9 +94,11 @@ def pair_hops(t: Topology, srcs, dsts) -> np.ndarray:
     labels of Akiba, Iwata & Yoshida, SIGMOD 2013).  The distinct ``dsts`` are
     the roots, ``_ROOT_CHUNK`` per pass; frontier and visited sets are
     (n, words) uint64 bitsets over the degree-ordered node ids of
-    ``t.degree_order``.  Distances are kept bit-sliced: plane b holds bit b of
-    the level at which a root's search first reached a node.  Only the
-    requested (src, root) bits are read back, through each source's rank.
+    ``t.degree_order``, and every level ORs the frontier rows in through
+    that view's neighbor columns.  Distances are kept bit-sliced: plane b
+    holds bit b of the level at which a root's search first reached a node.
+    Only the requested (src, root) bits are read back, through each source's
+    rank.
     """
     srcs = np.asarray(srcs, dtype=np.int64)
     dsts = np.asarray(dsts, dtype=np.int64)
@@ -127,17 +129,12 @@ def _bit_bfs(t: Topology, roots: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     """(visited bitset, bit planes of each node's level) of one pass of roots.
 
     Rows are the degree-ordered ids of ``t.degree_order``: node v is row
-    ``rank[v]``.  A level ORs, for each node, its neighbors' frontier rows.
-    A dense level takes the view's columns one at a time: column k, the k-th
-    neighbors of the rows of degree > k, is a row prefix, and its frontier
-    rows are ORed into that prefix in place.  While the frontier's edges are
-    a small share of all edges, only the rows next to the frontier are
-    reduced, over a gather of their CSR neighbors (the top-down half of
-    direction-optimizing search, Beamer et al., SC 2012).
+    ``rank[v]``.  A level ORs, for each node, its neighbors' frontier rows,
+    one column at a time: column k, the k-th neighbors of the rows of
+    degree > k, is a row prefix, and its frontier rows are ORed into that
+    prefix in place.
     """
     view = t.degree_order
-    indptr, indices = view.indptr, view.indices
-    degree = np.diff(indptr)
     j = np.arange(len(roots))
     frontier = np.zeros((t.n, (len(roots) + 63) // 64), dtype=np.uint64)
     frontier[view.rank[roots], j >> 6] = np.uint64(1) << (j & 63).astype(np.uint64)
@@ -146,24 +143,16 @@ def _bit_bfs(t: Topology, roots: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     rows = np.empty_like(frontier)
     # Each column with the row prefixes it takes into and ORs into, sliced
     # once per pass: per level, a column costs one take and one OR.
-    dense = [(column, rows[:len(column)], reached[:len(column)]) for column in view.columns]
+    columns = [(column, rows[:len(column)], reached[:len(column)]) for column in view.columns]
     planes: list[np.ndarray] = []
     level = 0
     while True:
         reached.fill(0)
-        active = frontier.any(axis=1)
-        if 4 * degree[active].sum() < len(indices):
-            near = np.zeros(t.n, dtype=bool)
-            near[indices[_edge_ids(indptr, np.flatnonzero(active))]] = True
-            sub = np.flatnonzero(near)
-            gathered = frontier[indices[_edge_ids(indptr, sub)]]
-            reached[sub] = np.bitwise_or.reduceat(gathered, np.cumsum(degree[sub]) - degree[sub], axis=0)
-        else:
-            for column, taken, prefix in dense:
-                # mode="clip" lets take write straight into ``out``; the
-                # default mode would copy through a temporary.
-                frontier.take(column, axis=0, out=taken, mode="clip")
-                prefix |= taken
+        for column, taken, prefix in columns:
+            # mode="clip" lets take write straight into ``out``; the
+            # default mode would copy through a temporary.
+            frontier.take(column, axis=0, out=taken, mode="clip")
+            prefix |= taken
         np.bitwise_and(reached, ~visited, out=frontier)
         if not frontier.any():
             break

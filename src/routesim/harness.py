@@ -565,7 +565,7 @@ def _parallel_eval(sc: Scenario, srcs: np.ndarray, groups, workers: int) -> list
     _FORK_SCENARIO = sc
     _FORK_SRCS = srcs
     try:
-        with mp.get_context("fork").Pool(processes=workers) as pool:
+        with mp.get_context("fork").Pool(processes=min(workers, len(runs))) as pool:
             return pool.map(_fork_worker, runs, chunksize=1)
     finally:
         _FORK_SCENARIO = None

@@ -88,18 +88,15 @@ class VoidSpec:
 
 
 class DegreeOrder(NamedTuple):
-    """The adjacency relabelled by descending degree, ties by id.
+    """The adjacency seen through a relabelling by descending degree, ties by id.
 
-    ``rank[v]`` is node v's new id.  ``indptr`` and ``indices`` are the CSR
-    arrays in new ids, each row keeping the neighbor order of the original
-    row.  ``columns[k]`` holds the k-th neighbor of every row of degree > k;
-    those rows are a prefix of the new ids, so column k covers rows
+    ``rank[v]`` is node v's new id.  ``columns[k]`` holds, in new ids, the
+    k-th (ascending) neighbor of every node of degree > k; those nodes are a
+    prefix of the new ids, so column k covers rows
     ``0 .. len(columns[k]) - 1``.
     """
 
     rank: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
     columns: tuple[np.ndarray, ...]
 
 
@@ -194,25 +191,17 @@ class Topology:
 
     @cached_property
     def degree_order(self) -> DegreeOrder:
-        """The degree-ordered relabelling, built once; the bit-parallel
-        breadth-first search runs on it for every pass of roots."""
+        """The degree-ordered columns, built once; the bit-parallel
+        breadth-first search runs on them for every pass of roots."""
         degree = np.diff(self.indptr)
         order = np.argsort(-degree, kind="stable")
         rank = np.empty(self.n, dtype=np.int64)
         rank[order] = np.arange(self.n)
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(degree[order], out=indptr[1:])
-        indices = rank[self.indices[_edge_ids(self.indptr, order)]]
-        # Rows of degree > k, the prefix column k covers, for every k.
-        lengths = np.searchsorted(-np.diff(indptr), -np.arange(int(degree.max(initial=0))))
-        columns = tuple(_freeze(indices[indptr[:c] + k]) for k, c in enumerate(lengths.tolist()))
-        return DegreeOrder(_freeze(rank), _freeze(indptr), _freeze(indices), columns)
-
-
-def _edge_ids(indptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Positions in the CSR index array of every edge of ``nodes``, node by node."""
-    counts = indptr[nodes + 1] - indptr[nodes]
-    return np.repeat(indptr[nodes] - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+        # Nodes of degree > k, the prefix column k covers, for every k.
+        lengths = np.searchsorted(-degree[order], -np.arange(int(degree.max(initial=0))))
+        starts = self.indptr[order]
+        columns = tuple(_freeze(rank[self.indices[starts[:c] + k]]) for k, c in enumerate(lengths.tolist()))
+        return DegreeOrder(_freeze(rank), columns)
 
 
 def _from_edges(d: Deployment, radio_range: float, edges) -> Topology:

@@ -6,6 +6,7 @@ import pytest
 
 from routesim.cli import main
 from routesim.config import _FLOAT_KEYS
+from routesim.harness import Scenario
 
 GRID_CFG = "deployment = grid\nrows = 20\ncols = 20\nradio_range = 1.2\nprotocol = gf-geo\n"
 HOLE_CFG = (
@@ -86,6 +87,25 @@ def test_eval_sample_flag(cfg_file, capsys):
     assert run_cli(["--config", path, "--sample", "500", "eval"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[1].split(",")[6] == "500"
+
+
+@pytest.mark.parametrize("command", [["gen"], ["coords"], ["route", "0", "5"], ["map", "5"]])
+def test_sample_flag_reaches_every_command(cfg_file, capsys, monkeypatch, command):
+    path = cfg_file(GRID_CFG.replace("gf-geo", "gf-vcs"))
+    assert run_cli(["--config", path] + command) == 0
+    plain = capsys.readouterr().out
+    build = Scenario.build
+    samples = []
+
+    def spy(config):
+        samples.append(config.sample)
+        return build(config)
+
+    monkeypatch.setattr(Scenario, "build", staticmethod(spy))
+    assert run_cli(["--config", path, "--sample", "37"] + command) == 0
+    assert samples == [37]
+    # none of these outputs reads the pair budget
+    assert capsys.readouterr().out == plain
 
 
 def test_sweep_rows(cfg_file, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -95,6 +96,32 @@ def test_workers_do_not_change_output():
         if not cfg.protocol.startswith("gf-"):
             # delivered routes had complementary episodes to defer
             assert not math.isnan(serial.stretch_complementary), cfg.protocol
+
+
+def test_parallel_eval_opens_no_more_workers_than_runs(monkeypatch):
+    cfg = ScenarioConfig(deployment="grid", rows=1, cols=2, radio_range=1.2, protocol="gf-geo")
+    serial = evaluate(cfg, workers=1)
+    opened = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            opened.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, runs, chunksize=1):
+            return [fn(run) for run in runs]
+
+    class Context:
+        Pool = SerialPool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
+    assert evaluate(cfg, workers=64) == serial
+    assert opened == [2]  # one per run: two destinations, two runs
 
 
 def _per_group_loop(groups):
