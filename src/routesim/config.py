@@ -8,6 +8,8 @@ warnings, so config drift fails loudly.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from routesim.harness import ScenarioConfig, ScenarioError
 from routesim.topology import VoidSpec
 
@@ -21,10 +23,8 @@ class ConfigError(ValueError):
         self.lineno = lineno
 
 
-_INT_KEYS = {"rows", "cols", "n", "dims", "align_depth", "seed"}
-_FLOAT_KEYS = {"spacing", "width", "height", "radio_range", "semi_weight", "loc_error", "ttl_factor"}
-_STR_KEYS = {"deployment", "align_rule", "distance", "protocol"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | {"voids", "anchors"}
+# Every ScenarioConfig field but ``sample`` (set only by --sample), typed by its default.
+_KEY_TYPES = {f.name: type(f.default) for f in fields(ScenarioConfig) if f.name != "sample"}
 
 
 def parse_voids(text: str, lineno: int = 0) -> tuple[VoidSpec, ...]:
@@ -60,25 +60,18 @@ def parse_config(text: str) -> ScenarioConfig:
         key, eq, value = (p.strip() for p in line.partition("="))
         if not eq:
             raise ConfigError(lineno, f"expected 'key = value', got {raw!r}")
-        if key not in _ALL_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(lineno, f"unknown key {key!r}")
         if key in values:
             raise ConfigError(lineno, f"duplicate key {key!r}")
         linenos[key] = lineno
         try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key == "voids":
+            if key == "voids":
                 values[key] = parse_voids(value, lineno)
-            elif key == "anchors":
-                if value == "corners":
-                    values[key] = "corners"
-                else:
-                    values[key] = tuple(int(x) for x in value.split(","))
+            elif key == "anchors" and value != "corners":
+                values[key] = tuple(int(x) for x in value.split(","))
             else:
-                values[key] = value
+                values[key] = _KEY_TYPES[key](value)
         except ConfigError:
             raise
         except ValueError:

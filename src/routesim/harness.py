@@ -341,11 +341,10 @@ def _eval_run(sc: Scenario, srcs: np.ndarray, groups: list[tuple[int, int, int]]
     lock = sources * sources < LOCKSTEP_CROSSOVER * t.n
     greedy = np.zeros(len(sp), dtype=bool)
     hops = np.zeros(len(sp), dtype=np.int64)
-    timed_out = np.zeros(len(sp), dtype=bool)
     pick = reach & lock[group_of]
     if pick.any():
         dsts = np.repeat([dst for dst, _, _ in groups], sizes)
-        greedy[pick], hops[pick], timed_out[pick] = greedy_lockstep(
+        greedy[pick], hops[pick] = greedy_lockstep(
             run_srcs[pick], dsts[pick], *sc.ctx.field_inputs(sc.config.protocol), t, ttl)
     recover = spec.recovery != Recovery.NONE
     active = ~lock
@@ -360,7 +359,7 @@ def _eval_run(sc: Scenario, srcs: np.ndarray, groups: list[tuple[int, int, int]]
         dfield = sc.ctx.dfield(sc.config.protocol, dst)
         if not lock[g]:
             walks = greedy_walks(greedy_successors(dfield, t, dst), dst, ttl)
-            greedy[pairs], hops[pairs], timed_out[pairs] = (a[run_srcs[pairs]] for a in walks)
+            greedy[pairs], hops[pairs] = (a[run_srcs[pairs]] for a in walks)
         stalled = pairs[~greedy[pairs]].tolist()
         if not recover or not stalled:
             continue
@@ -374,7 +373,7 @@ def _eval_run(sc: Scenario, srcs: np.ndarray, groups: list[tuple[int, int, int]]
             else:
                 failures[rr.failure_cause] += 1
     if not recover:
-        timed = timed_out[reach & ~greedy]
+        timed = hops[reach & ~greedy] >= ttl   # hops are capped at the TTL
         failures[Failure.TTL_EXCEEDED] = int(np.count_nonzero(timed))
         failures[Failure.LOCAL_MINIMUM] = len(timed) - failures[Failure.TTL_EXCEEDED]
     delivered = greedy | rescued

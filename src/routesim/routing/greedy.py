@@ -11,6 +11,9 @@ is this loop plus at most one episode.  For bulk evaluation the same rule,
 outcome included, runs vectorized: ``greedy_successors`` and ``greedy_walks``
 resolve every node's walk toward one destination at once, and
 ``greedy_lockstep`` advances a set of (src, dst) pairs one hop per step.
+Both bulk kernels return two arrays, (delivered, hops), with hops capped at
+the TTL: a pair that was not delivered was cut by the TTL if and only if its
+hops equal the TTL, and is stuck at a local minimum otherwise.
 """
 
 from __future__ import annotations
@@ -94,27 +97,28 @@ def greedy_successors(dfield: np.ndarray, t: Topology, dst: int) -> np.ndarray:
     am = np.argmin(vals, axis=1)
     rows = np.arange(t.n)
     succ = np.where(vals[rows, am] < dfield, ids[rows, am], rows)
-    succ[list(t.adjacency[dst])] = dst
+    succ[t.indices[t.indptr[dst]:t.indptr[dst + 1]]] = dst
     succ[dst] = dst
     return succ
 
 
-def greedy_walks(succ: np.ndarray, dst: int, ttl: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-node (delivered?, hops to where the walk stops, timed out?), by pointer jumping.
+def greedy_walks(succ: np.ndarray, dst: int, ttl: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node (delivered?, hops), by pointer jumping; hops are capped at the TTL.
 
     Each round doubles how far every pointer reaches (Wyllie 1979).  Greedy
     successors strictly descend the distance field or hand over to dst, so
     the forest has no cycles and the loop ends within ceil(log2 n) rounds.
-    Outcomes follow greedy_route: delivered within the TTL, else timed out
-    when the walk stops after >= TTL hops, else stuck at a local minimum.
+    Outcomes follow greedy_route: a walk is delivered when it reaches dst
+    within the TTL; otherwise it was cut by the TTL when hops == ttl (a
+    local minimum reached with the TTL spent included), and it stopped at a
+    local minimum when hops < ttl.
     """
     nxt = succ
     hops = (succ != np.arange(len(succ))).astype(np.int64)
     while True:
         jumped = nxt[nxt]
         if np.array_equal(jumped, nxt):
-            delivered = (nxt == dst) & (hops <= ttl)
-            return delivered, hops, ~delivered & (hops >= ttl)
+            return (nxt == dst) & (hops <= ttl), np.minimum(hops, ttl)
         hops += hops[nxt]
         nxt = jumped
 
@@ -125,8 +129,8 @@ LOCKSTEP_BATCH = 1024
 
 
 def greedy_lockstep(srcs: np.ndarray, dsts: np.ndarray, coords: np.ndarray, targets: np.ndarray,
-                    field: FieldFn, t: Topology, ttl: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pair (delivered?, hops, timed out?) of greedy forwarding, one hop per step for all pairs.
+                    field: FieldFn, t: Topology, ttl: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair (delivered?, hops) of greedy forwarding, one hop per step for all pairs.
 
     Node u compares ``coords[u]`` with ``targets[dst]`` under ``field``, the
     protocol's distance field function.  Each step evaluates the field on
@@ -135,35 +139,25 @@ def greedy_lockstep(srcs: np.ndarray, dsts: np.ndarray, coords: np.ndarray, targ
     would be.  Each pair carries its current node's distance from step to
     step: the source's to start, then the winning candidate's.  A pad of the
     table is the current node itself, which evaluates to exactly that
-    distance and so never wins.  Ties go to the lowest id, a neighboring
-    destination takes the packet directly and the TTL is checked before each
-    hop, as in greedy_route.  Hops are counted up to where the walk stops or
-    to the TTL, whichever comes first; outcomes otherwise match greedy_walks.
+    distance and so never wins.  Ties go to the lowest id and a neighboring
+    destination takes the packet directly, as in greedy_route.  There are at
+    most ``ttl`` steps, so the TTL is checked before each hop and hops never
+    exceed it; outcomes are those of greedy_walks.
     """
     srcs = np.asarray(srcs, dtype=np.int64)
     dsts = np.asarray(dsts, dtype=np.int64)
-    delivered = np.zeros(len(srcs), dtype=bool)
+    delivered = srcs == dsts
     hops = np.zeros(len(srcs), dtype=np.int64)
-    timed_out = np.zeros(len(srcs), dtype=bool)
     ids = t.neighbor_matrix()
     width = ids.shape[1]
     for lo in range(0, len(srcs), LOCKSTEP_BATCH):
-        live = np.arange(lo, min(lo + LOCKSTEP_BATCH, len(srcs)))
+        live = lo + np.flatnonzero(~delivered[lo:lo + LOCKSTEP_BATCH])
         cur = srcs[live]
         dst = dsts[live]
         here = field(coords[cur], targets[dst])
-        step = 0                  # hops made so far, the same for every live pair
-        while True:
-            arrived = cur == dst
-            delivered[live[arrived]] = True
-            hops[live[arrived]] = step
-            live, cur, dst, here = live[~arrived], cur[~arrived], dst[~arrived], here[~arrived]
+        for step in range(ttl):
             m = len(live)
             if m == 0:
-                break
-            if step >= ttl:       # checked before each hop: every walk still out ends here
-                hops[live] = step
-                timed_out[live] = True
                 break
             rows = np.take(ids, cur, axis=0).ravel()
             vals = field(np.take(coords, rows, axis=0),
@@ -174,11 +168,13 @@ def greedy_lockstep(srcs: np.ndarray, dsts: np.ndarray, coords: np.ndarray, targ
             nxt = np.where(best < here, rows[win], -1)
             near = np.flatnonzero(rows.reshape(m, width) == dst[:, None]) // width
             nxt[near] = dst[near]
-            stuck = nxt < 0       # a local minimum before the TTL ran out
-            hops[live[stuck]] = step
-            live, cur, dst, here = live[~stuck], nxt[~stuck], dst[~stuck], best[~stuck]
-            step += 1
-    return delivered, hops, timed_out
+            moved = nxt >= 0      # else a local minimum: the walk stops here
+            hops[live] = step + moved
+            arrived = nxt == dst
+            delivered[live[arrived]] = True
+            go = moved & ~arrived
+            live, cur, dst, here = live[go], nxt[go], dst[go], best[go]
+    return delivered, hops
 
 
 def sp_route(src: int, dst: int, t: Topology) -> RouteResult:

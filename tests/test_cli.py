@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from routesim.cli import main
-from routesim.config import _FLOAT_KEYS
+from routesim.config import _KEY_TYPES
 from routesim.harness import Scenario
 
 GRID_CFG = "deployment = grid\nrows = 20\ncols = 20\nradio_range = 1.2\nprotocol = gf-geo\n"
@@ -116,7 +116,7 @@ def test_sweep_rows(cfg_file, capsys):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("key", sorted(_FLOAT_KEYS))
+@pytest.mark.parametrize("key", sorted(k for k, kind in _KEY_TYPES.items() if kind is float))
 def test_non_finite_float_value_exits_2(cfg_file, capsys, key, value):
     path = cfg_file(f"deployment = grid\nrows = 5\ncols = 5\nprotocol = bvr\n{key} = {value}\n")
     assert run_cli(["--config", path, "eval"]) == 2

@@ -45,6 +45,13 @@ def test_unknown_key_names_line():
     assert "line 2" in str(err.value) and "bogus" in str(err.value)
 
 
+def test_sample_is_not_a_config_key():
+    # only the --sample option sets the pair budget
+    with pytest.raises(ConfigError) as err:
+        parse_config("deployment = grid\nsample = 5\n")
+    assert "line 2" in str(err.value) and "unknown key 'sample'" in str(err.value)
+
+
 def test_malformed_line_names_line():
     with pytest.raises(ConfigError) as err:
         parse_config("deployment = grid\nrows 20\n")

@@ -120,22 +120,21 @@ def test_engine_matches_vectorized_successors():
         for dst in rng.integers(0, t.n, 15):
             dst = int(dst)
             dfield = sc.ctx.dfield(cfg.protocol, dst)
-            ok, hops, timed_out = greedy_walks(greedy_successors(dfield, t, dst), dst, ttl)
+            ok, hops = greedy_walks(greedy_successors(dfield, t, dst), dst, ttl)
             srcs = rng.integers(0, t.n, 40)
             stepped = zip(*greedy_lockstep(srcs, np.full(len(srcs), dst),
                                            *sc.ctx.field_inputs(cfg.protocol), t, ttl))
-            for src, (step_ok, step_hops, step_timed_out) in zip(srcs.tolist(), stepped):
+            for src, (step_ok, step_hops) in zip(srcs.tolist(), stepped):
                 if src == dst:
                     continue
                 rr = greedy_route(src, dst, dfield, t, ttl)
                 assert rr.delivered == ok[src] == step_ok
                 # hops to dst or to the local minimum, cut off at the TTL
-                assert rr.hops == min(hops[src], ttl) == step_hops
-                assert timed_out[src] == step_timed_out
+                assert rr.hops == hops[src] == step_hops <= ttl
                 if not ok[src]:
-                    assert rr.failure_cause == (
-                        Failure.TTL_EXCEEDED if timed_out[src] else Failure.LOCAL_MINIMUM)
-                    seen["ttl" if timed_out[src] else "minimum"] += 1
+                    cut = hops[src] == ttl
+                    assert rr.failure_cause == (Failure.TTL_EXCEEDED if cut else Failure.LOCAL_MINIMUM)
+                    seen["ttl" if cut else "minimum"] += 1
                 seen["long"] += int(hops[src] > 64)
     assert min(seen["ttl"], seen["minimum"], seen["long"]) > 0
 
@@ -162,15 +161,52 @@ def test_lockstep_matches_greedy_walks(grid, side, radio_range, seed, protocol, 
     rng = np.random.default_rng(seed)
     srcs = rng.integers(0, t.n, pairs)
     dsts = rng.integers(0, t.n, pairs)
-    ok, hops, timed_out = greedy_lockstep(srcs, dsts, *sc.ctx.field_inputs(protocol), t, sc.ctx.ttl)
+    ok, hops = greedy_lockstep(srcs, dsts, *sc.ctx.field_inputs(protocol), t, sc.ctx.ttl)
     for dst in np.unique(dsts).tolist():
-        walk_ok, walk_hops, walk_timed_out = greedy_walks(
+        walk_ok, walk_hops = greedy_walks(
             greedy_successors(sc.ctx.dfield(protocol, dst), t, dst), dst, sc.ctx.ttl)
         at = np.flatnonzero(dsts == dst)
         src = srcs[at]
         assert np.array_equal(ok[at], walk_ok[src])
-        assert np.array_equal(hops[at], np.minimum(walk_hops[src], sc.ctx.ttl))
-        assert np.array_equal(timed_out[at], walk_timed_out[src])
+        assert np.array_equal(hops[at], walk_hops[src])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_kernels_match_greedy_route_on_disconnected_graphs(data):
+    """Hand-built, often disconnected graphs with tie-heavy one-column coordinates.
+
+    Every ordered pair, src == dst included, under a TTL from 0 to 3n: both
+    kernels give greedy_route's delivery and hops, and an undelivered pair
+    was cut by the TTL exactly when its hops reached the TTL.
+    """
+    n = data.draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    adj = [[] for _ in range(n)]
+    for u, v in data.draw(st.lists(st.tuples(node, node), max_size=2 * n)):
+        if u != v:
+            adj[u].append(v)
+    t = topology_from_adjacency(np.zeros((n, 2)), adj)
+    coords = np.array(data.draw(st.lists(st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.0)),
+                                         min_size=n, max_size=n)))[:, None]
+    field = data.draw(st.sampled_from((dm.euclidean_field, dm.manhattan_field,
+                                       dm.semi_manhattan_field)))
+    ttl = data.draw(st.integers(0, 3 * n))
+    srcs = np.repeat(np.arange(n), n)
+    dsts = np.tile(np.arange(n), n)
+    step_ok, step_hops = (a.reshape(n, n) for a in
+                          greedy_lockstep(srcs, dsts, coords, coords, field, t, ttl))
+    for dst in range(n):
+        dfield = field(coords, coords[dst])
+        walk_ok, walk_hops = greedy_walks(greedy_successors(dfield, t, dst), dst, ttl)
+        routes = [greedy_route(src, dst, dfield, t, ttl) for src in range(n)]
+        ok = np.array([rr.delivered for rr in routes])
+        hops = np.array([rr.hops for rr in routes])
+        cut = np.array([rr.failure_cause == Failure.TTL_EXCEEDED for rr in routes])
+        for kernel_ok, kernel_hops in ((step_ok[:, dst], step_hops[:, dst]), (walk_ok, walk_hops)):
+            assert np.array_equal(kernel_ok, ok)
+            assert np.array_equal(kernel_hops, hops)
+            assert np.array_equal(~kernel_ok & (kernel_hops >= ttl), cut)
 
 
 def test_sp_route_basics():
