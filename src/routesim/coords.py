@@ -137,7 +137,8 @@ def _bit_bfs(t: Topology, roots: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     view = t.degree_order
     j = np.arange(len(roots))
     frontier = np.zeros((t.n, (len(roots) + 63) // 64), dtype=np.uint64)
-    frontier[view.rank[roots], j >> 6] = np.uint64(1) << (j & 63).astype(np.uint64)
+    # OR, not assign: a root listed twice starts both of its bits.
+    np.bitwise_or.at(frontier, (view.rank[roots], j >> 6), np.uint64(1) << (j & 63).astype(np.uint64))
     visited = frontier.copy()
     reached = np.empty_like(frontier)
     rows = np.empty_like(frontier)
@@ -166,23 +167,59 @@ def _bit_bfs(t: Topology, roots: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     return visited, planes
 
 
+# Nodes per block of hop_rows' read-back: one block's unpacked bits stay
+# small beside the (roots, n) result.
+_READ_BLOCK = 1024
+
+
+def hop_rows(t: Topology, roots) -> np.ndarray:
+    """(len(roots), n) int32 hop counts from each root, -1 where unreached.
+
+    One ``_bit_bfs`` pass per ``_ROOT_CHUNK`` roots.  Each root's whole row is
+    read straight from the visited bitset and the bit planes, a block of
+    nodes at a time: node v's words sit in row ``rank[v]``, and unpacking
+    their bytes little-end first puts root j's bit in column j.
+    """
+    roots = np.asarray(roots, dtype=np.int64)
+    rank = t.degree_order.rank
+    out = np.empty((len(roots), t.n), dtype=np.int32)
+    for lo in range(0, len(roots), _ROOT_CHUNK):
+        k = min(_ROOT_CHUNK, len(roots) - lo)
+        visited, planes = _bit_bfs(t, roots[lo:lo + k])
+        for a in range(0, t.n, _READ_BLOCK):
+            rows = rank[a:a + _READ_BLOCK]
+            hops = np.zeros((len(rows), k), dtype=np.int32)
+            for b, plane in enumerate(planes):
+                hops |= np.left_shift(_bits(plane[rows], k), b, dtype=np.int32)
+            hops[_bits(visited[rows], k) == 0] = -1
+            out[lo:lo + k, a:a + len(rows)] = hops.T
+    return out
+
+
+def _bits(words: np.ndarray, k: int) -> np.ndarray:
+    """The first k bits of each row of a (rows, words) uint64 array, as uint8."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=k, bitorder="little")
+
+
 def hop_counts(t: Topology, anchor: int) -> np.ndarray:
     """Breadth-first hop distance from ``anchor`` to every node.
 
     Unreachable nodes are marked -1; scenarios that rely on virtual
     coordinates must treat any -1 as a configuration error.
     """
-    return _hop_rows(t, (anchor,))[0]
+    return _anchor_rows(t, (anchor,))[0]
 
 
-def _hop_rows(t: Topology, anchors: tuple[int, ...]) -> np.ndarray:
+def _anchor_rows(t: Topology, anchors: tuple[int, ...]) -> np.ndarray:
     """(len(anchors), n) int64 hop counts from each anchor, -1 where unreachable."""
     for a in anchors:
         if not 0 <= a < t.n:
             raise CoordsError(f"anchor {a} does not exist")
-    nodes = np.arange(t.n)
-    h = pair_hops(t, np.tile(nodes, len(anchors)), np.repeat(anchors, t.n))
-    return np.where(np.isfinite(h), h, -1).astype(np.int64).reshape(len(anchors), t.n)
+    return hop_rows(t, anchors).astype(np.int64)
+
+
+# Roots per pass of hop_diameter: one uint64 word per node.
+_WIDE = 64
 
 
 def hop_diameter(t: Topology) -> int:
@@ -192,10 +229,11 @@ def hop_diameter(t: Topology) -> int:
     its eccentricity e and bounds every node w it reaches:
     max(d, e - d) <= ecc(w) <= e + d with d = d(v, w).  A node stays a
     candidate while its upper bound exceeds the largest eccentricity found.
-    Each pass searches from two candidates at once: the one with the
-    smallest lower bound and the one with the largest upper bound (ties to
-    higher degree, then lower id).  Component sizes give the first upper
-    bounds.
+    Component sizes give the first upper bounds.  Each pass searches from up
+    to 64 roots at once, one uint64 word per node: the first from 64 evenly
+    spaced ids, each later one from the 32 candidates with the smallest lower
+    bound and the 32 with the largest upper bound (ties to higher degree,
+    then lower id).
     """
     n = t.n
     label = t.component_labels()
@@ -203,24 +241,26 @@ def hop_diameter(t: Topology) -> int:
     lower = np.zeros(n, dtype=np.int64)
     degree = np.diff(t.indptr)
     best = 0
-    candidate = upper > best
-    while candidate.any():
-        central = np.argmin(np.where(candidate, lower * (n + 1) - degree, n * (n + 1)))
-        peripheral = np.argmax(np.where(candidate, upper * (n + 1) + degree, -1))
-        for row in _hop_rows(t, tuple({int(central), int(peripheral)})):
+    roots = np.unique(np.arange(_WIDE) * n // _WIDE)[:n]  # no root when n = 0
+    while len(roots):
+        for row in hop_rows(t, roots):
             reach = np.flatnonzero(row >= 0)
             d = row[reach]
             ecc = int(d.max())
             best = max(best, ecc)
             lower[reach] = np.maximum(lower[reach], np.maximum(d, ecc - d))
             upper[reach] = np.minimum(upper[reach], ecc + d)
-        candidate = upper > best
+        candidate = np.flatnonzero(upper > best)
+        # lexsort's last key is the primary one; ids break the last ties.
+        central = np.lexsort((candidate, -degree[candidate], lower[candidate]))
+        peripheral = np.lexsort((candidate, -degree[candidate], -upper[candidate]))
+        roots = np.union1d(candidate[central[:_WIDE // 2]], candidate[peripheral[:_WIDE // 2]])
     return best
 
 
 def build_vcs(t: Topology, anchors: AnchorSet) -> VirtualCoords:
     """Per-node hop counts to every anchor, from one breadth-first pass."""
-    h = _hop_rows(t, anchors.ids)
+    h = _anchor_rows(t, anchors.ids)
     for a, row in zip(anchors.ids, h):
         if (row < 0).any():
             bad = int(np.argmax(row < 0))

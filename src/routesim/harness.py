@@ -30,6 +30,7 @@ from routesim.coords import (
     corner_anchors,
     hop_counts,
     hop_diameter,
+    hop_rows,
     pair_hops,
 )
 from routesim.routing import (
@@ -213,12 +214,12 @@ class Scenario:
         evaluating a scenario use ``pair_hops`` on the pairs they need.  It
         stays only because the benchmark tracer (``perfbench/tracer.py``)
         wraps it by name; it can go once the tracer reads spans recorded
-        inside routesim instead.
+        inside routesim instead.  Row i is node i's ``hop_rows`` row, which
+        is column i too, since the graph is symmetric.
         """
         if self._hops is None:
-            n = self.topology.n
-            nodes = np.arange(n)
-            self._hops = pair_hops(self.topology, np.repeat(nodes, n), np.tile(nodes, n)).reshape(n, n)
+            h = hop_rows(self.topology, np.arange(self.topology.n))
+            self._hops = np.where(h >= 0, h, np.inf)
         return self._hops
 
     @property
@@ -472,15 +473,17 @@ def _sampled_pairs(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Destinations per block of the all-pairs oracle: one uint64 word per node,
-# which keeps a block's pair arrays small beside the n(n-1) result.
+# which keeps a block's rows small beside the n(n-1) result.
 _ORACLE_BLOCK = 64
 
 
 def _sampled_hops(sc: Scenario) -> np.ndarray:
     """Shortest-path hops of the pairs _sampled_pairs yields, in that order.
 
-    All pairs are taken a block of destinations at a time, so besides the
-    result only one block's pairs are held at once.
+    All pairs are taken a block of destinations at a time: a destination's
+    ``hop_rows`` row, less its own entry, holds its pairs in source order
+    (the graph is symmetric).  Besides the result, only one block's rows are
+    held at once.
     """
     t = sc.topology
     n = t.n
@@ -490,8 +493,8 @@ def _sampled_hops(sc: Scenario) -> np.ndarray:
     nodes = np.arange(n)
     for lo in range(0, n, _ORACLE_BLOCK):
         block = nodes[lo:lo + _ORACLE_BLOCK]
-        h = pair_hops(t, np.tile(nodes, len(block)), np.repeat(block, n))
-        out[lo * (n - 1):(lo + len(block)) * (n - 1)] = h[(nodes != block[:, None]).ravel()]
+        h = hop_rows(t, block)[nodes != block[:, None]]
+        out[lo * (n - 1):(lo + len(block)) * (n - 1)] = np.where(h >= 0, h, np.inf)
     return out
 
 

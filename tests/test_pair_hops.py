@@ -1,4 +1,6 @@
-"""The bit-parallel hop oracle and the exact diameter, against networkx."""
+"""The bit-parallel hop oracle, its row reader and the exact diameter, against networkx."""
+
+from types import SimpleNamespace
 
 import networkx as nx
 import numpy as np
@@ -6,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from routesim import coords
-from routesim.coords import CoordsError, hop_counts, hop_diameter, pair_hops
-from routesim.topology import build_udg, generate_random, topology_from_adjacency
+from routesim.coords import CoordsError, hop_counts, hop_diameter, hop_rows, pair_hops
+from routesim.topology import Topology, build_udg, generate_grid, generate_random, topology_from_adjacency
 
 LONG_PATH = 300  # hops: more than eight bit planes of level counts
 
@@ -30,6 +32,14 @@ def _graph(t):
 def _expected(g, srcs, dsts):
     rows = {d: nx.single_source_shortest_path_length(g, d) for d in set(dsts)}
     return np.array([rows[d].get(s, np.inf) for s, d in zip(srcs, dsts)], dtype=float)
+
+
+def _expected_rows(g, roots):
+    out = np.full((len(roots), len(g)), -1, dtype=np.int32)
+    for i, r in enumerate(roots):
+        hops = nx.single_source_shortest_path_length(g, r)
+        out[i, list(hops)] = list(hops.values())
+    return out
 
 
 def _diameter(g):
@@ -62,8 +72,11 @@ def topologies(draw):
 def test_pair_hops_matches_networkx(t, data):
     node = st.integers(0, t.n - 1)
     # Up to 130 roots (more than two 64-bit words), duplicates allowed; every
-    # node is a source, so src == dst occurs once per root.
+    # node is a source, so src == dst occurs once per root.  hop_rows reads
+    # the same roots' whole rows.
     roots = data.draw(st.lists(node, min_size=1, max_size=130))
+    rows = hop_rows(t, roots)
+    assert rows.dtype == np.int32 and np.array_equal(rows, _expected_rows(_graph(t), roots))
     srcs = np.tile(np.arange(t.n), len(roots))
     dsts = np.repeat(roots, t.n)
     extra = data.draw(st.lists(st.tuples(node, node), max_size=50))
@@ -82,10 +95,12 @@ def test_hop_diameter_matches_networkx_per_component(t):
 
 
 def test_pair_hops_over_several_root_passes():
-    # Two full passes of roots and a partial third; the deployment (mean
-    # degree about 5.5) leaves isolated nodes and several components.
+    # Two full passes of roots and a partial third, over more nodes than
+    # hop_rows reads back in one block; the deployment (mean degree about
+    # 5.5) leaves isolated nodes and several components.
     roots = 2 * coords._ROOT_CHUNK + coords._ROOT_CHUNK // 3
     n = roots + roots // 4
+    assert n > coords._READ_BLOCK
     side = 20.0 * (n / 700) ** 0.5
     t = build_udg(generate_random(n, side, side, 4), 1.0)
     g = _graph(t)
@@ -94,8 +109,49 @@ def test_pair_hops_over_several_root_passes():
     srcs = rng.integers(0, t.n, 2 * n)
     dsts = np.concatenate([np.arange(roots), rng.integers(0, roots, 2 * n - roots)])
     assert len(np.unique(dsts)) == roots
-    assert np.array_equal(pair_hops(t, srcs, dsts), _expected(g, srcs.tolist(), dsts.tolist()))
+    want = _expected_rows(g, range(roots))
+    assert np.array_equal(pair_hops(t, srcs, dsts), np.where(want >= 0, want, np.inf)[dsts, srcs])
+    shuffled = rng.permutation(roots)
+    assert np.array_equal(hop_rows(t, shuffled), want[shuffled])
     assert hop_diameter(t) == _diameter(g)
+
+
+def _record_passes(monkeypatch):
+    """Record the roots of each _bit_bfs pass; a runaway search fails instead of hanging."""
+    passes = []
+    search = coords._bit_bfs
+
+    def recorded(t, roots):
+        passes.append(np.array(roots))
+        assert len(passes) <= 10, "hop_diameter keeps searching"
+        return search(t, roots)
+
+    monkeypatch.setattr(coords, "_bit_bfs", recorded)
+    return passes
+
+
+def test_hop_diameter_passes(monkeypatch):
+    # The 64 evenly spaced first roots settle the dense grid at once.
+    passes = _record_passes(monkeypatch)
+    assert hop_diameter(build_udg(generate_grid(50, 50, 1.0), 2.5)) == 33
+    assert len(passes) == 1 and np.array_equal(passes[0], np.arange(64) * 2500 // 64)
+    # Sparse-large's deployment takes a second pass: the 32 candidates of
+    # smallest lower bound and the 32 of largest upper bound, rebuilt here
+    # from the first pass's rows (ties to higher degree, then lower id).
+    passes.clear()
+    t = build_udg(generate_random(5000, 70.0, 70.0, 1), 1.85)
+    assert hop_diameter(t) == 70
+    assert len(passes) == 2
+    rows = hop_rows(t, passes[0])
+    assert (rows >= 0).all()
+    ecc = rows.max(axis=1)
+    lower = np.maximum(rows, ecc[:, None] - rows).max(axis=0)
+    upper = (ecc[:, None] + rows).min(axis=0)
+    degree = np.diff(t.indptr)
+    candidates = np.flatnonzero(upper > ecc.max()).tolist()
+    central = sorted(candidates, key=lambda v: (lower[v], -degree[v], v))[:32]
+    peripheral = sorted(candidates, key=lambda v: (-upper[v], -degree[v], v))[:32]
+    assert passes[1].tolist() == sorted(set(central) | set(peripheral))
 
 
 def test_pair_hops_hub_path_and_isolated_nodes():
@@ -133,6 +189,10 @@ def test_pair_hops_empty_and_isolated():
     assert pair_hops(t, [], []).shape == (0,)
     assert pair_hops(t, [0, 1, 2], [0, 2, 1]).tolist() == [0.0, np.inf, np.inf]
     assert hop_diameter(t) == 0
+    # Deployments refuse zero nodes; a bare Topology over none still has
+    # diameter 0, with no search from a node 0 that is not there.
+    empty = Topology(SimpleNamespace(n=0), 1.0, np.zeros(1, np.int64), np.zeros(0, np.int64))
+    assert hop_diameter(empty) == 0
 
 
 def test_hop_counts_int64_minus_one_and_bad_anchor():
