@@ -38,6 +38,25 @@ VARIANTS = (
       for p in ("lcr", "bvr")),
     # gf-vcs routes on raw hop counts but prints the configured alignment.
     ({"protocol": "gf-vcs", "align_depth": 2}, (["coords"],)),
+    # All pairs of a small voided grid under the recovery engines; gpsr-rng's
+    # run ends pairs in local minima, perimeter loops and the TTL.
+    *(({"protocol": p, "rows": 12, "cols": 12, "voids": "disc:5.5,5.5,2.5", "loc_error": 0.4}, (["eval"],))
+      for p in ("gpsr-gg", "gpsr-rng", "bvr")),
+)
+# (config file, argv after ``--config``): every sweep axis on the variant
+# base, where hole_count 3 cuts a node off from anchor 0 (a point error, exit
+# 2), and a void sweep on a random deployment, whose disc sits at the area's
+# center instead of a grid cell's.
+SWEEPS = (
+    *((VARIANT_BASE, ["--sample", "2000", "sweep", *axis]) for axis in (
+        ["radio_range", "1.2", "1.5"],
+        ["void_size", "0", "2.5"],
+        ["hole_count", "0", "1", "3"],
+        ["align_depth", "0", "2"],
+        ["error_fraction", "0", "0.3"],
+        ["seed", "1", "2", "3"],
+    )),
+    ("random400_vcs.cfg", ["--sample", "2000", "sweep", "void_size", "0", "2.5"]),
 )
 
 
@@ -60,6 +79,8 @@ def _cases() -> dict[str, tuple[str, list[str]]]:
         label = ",".join(f"{k}={v}" for k, v in keys.items())
         for cmd in commands:
             cases[f"{VARIANT_BASE}[{label}] {' '.join(cmd)}"] = (_variant_text(keys), cmd)
+    for name, cmd in SWEEPS:
+        cases[f"{name} {' '.join(cmd)}"] = ((ROOT / "configs" / name).read_text(), cmd)
     return cases
 
 
