@@ -115,7 +115,7 @@ def cmd_sweep(args) -> int:
 
 def _parse_axis_value(axis: str, v: str):
     try:
-        return int(v) if axis in ("align_depth", "hole_count", "seed") else float(v)
+        return SWEEP_AXES[axis](v)
     except ValueError:
         raise ScenarioError(f"bad {axis} value {v!r}") from None
 
@@ -135,34 +135,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, default=None, help="ordered-pair sampling budget (0 = all pairs)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("gen", help="write the topology serialization")
-    sub.add_parser("coords", help="write the coordinate assignment dump")
+    sub.add_parser("gen", help="write the topology serialization").set_defaults(run=cmd_gen)
+    sub.add_parser("coords", help="write the coordinate assignment dump").set_defaults(run=cmd_coords)
     rp = sub.add_parser("route", help="trace a single packet")
     rp.add_argument("src", type=int)
     rp.add_argument("dst", type=int)
-    sub.add_parser("eval", help="evaluate the scenario, print a metrics CSV row")
+    rp.set_defaults(run=cmd_route)
+    sub.add_parser("eval", help="evaluate the scenario, print a metrics CSV row").set_defaults(run=cmd_eval)
     sp = sub.add_parser("sweep", help="evaluate across one axis")
     sp.add_argument("axis", choices=SWEEP_AXES)
     sp.add_argument("values", nargs="+")
+    sp.set_defaults(run=cmd_sweep)
     mp = sub.add_parser("map", help="distance map toward one destination")
     mp.add_argument("dst", type=int)
+    mp.set_defaults(run=cmd_map)
     return p
-
-
-_HANDLERS = {
-    "gen": cmd_gen,
-    "coords": cmd_coords,
-    "route": cmd_route,
-    "eval": cmd_eval,
-    "sweep": cmd_sweep,
-    "map": cmd_map,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except (ConfigError, ScenarioError, CoordsError, TopologyError, OSError) as e:
         return _fail(str(e))
 

@@ -61,7 +61,15 @@ from routesim.topology import (
 _PERTURB_SALT = 104729    # keeps the perception stream independent of deployment draws
 _SAMPLE_SALT = 15485863   # pair-sampling stream
 
-SWEEP_AXES = ("radio_range", "void_size", "hole_count", "align_depth", "error_fraction", "seed")
+# Sweep axis -> the type of its values, and the config field each plain axis
+# sets; void_size and hole_count set the voids.
+SWEEP_AXES = {
+    "radio_range": float, "void_size": float, "hole_count": int,
+    "align_depth": int, "error_fraction": float, "seed": int,
+}
+_AXIS_FIELDS = {
+    "radio_range": "radio_range", "align_depth": "align_depth", "error_fraction": "loc_error", "seed": "seed",
+}
 
 CSV_HEADER = (
     "scenario_id,protocol,coord_system,distance,align_depth,mean_degree,"
@@ -594,29 +602,20 @@ def _bounds(config: ScenarioConfig) -> tuple[float, float]:
 
 
 def _apply_axis(base: ScenarioConfig, axis: str, value) -> ScenarioConfig:
-    if axis == "radio_range":
-        return replace(base, radio_range=float(value))
+    value = SWEEP_AXES[axis](value)
+    if axis in _AXIS_FIELDS:
+        return replace(base, **{_AXIS_FIELDS[axis]: value})
     if axis == "void_size":
-        if float(value) <= 0:
-            return replace(base, voids=())
-        return replace(base, voids=(_central_disc(base, float(value)),))
-    if axis == "hole_count":
-        k = int(value)
-        if not 0 <= k <= len(_HOLE_CENTERS):
-            raise ScenarioError(f"hole_count must be in [0, {len(_HOLE_CENTERS)}]")
-        radius = next((v.radius for v in base.voids if v.kind == "disc"), 2.0)
-        w, h = _bounds(base)
-        voids = tuple(
-            VoidSpec("disc", (fx * w, fy * h), radius=radius) for fx, fy in _HOLE_CENTERS[:k]
-        )
-        return replace(base, voids=voids)
-    if axis == "align_depth":
-        return replace(base, align_depth=int(value))
-    if axis == "error_fraction":
-        return replace(base, loc_error=float(value))
-    if axis == "seed":
-        return replace(base, seed=int(value))
-    raise ScenarioError(f"unknown sweep axis {axis!r}")
+        return replace(base, voids=(_central_disc(base, value),) if value > 0 else ())
+    # hole_count
+    if not 0 <= value <= len(_HOLE_CENTERS):
+        raise ScenarioError(f"hole_count must be in [0, {len(_HOLE_CENTERS)}]")
+    radius = next((v.radius for v in base.voids if v.kind == "disc"), 2.0)
+    w, h = _bounds(base)
+    voids = tuple(
+        VoidSpec("disc", (fx * w, fy * h), radius=radius) for fx, fy in _HOLE_CENTERS[:value]
+    )
+    return replace(base, voids=voids)
 
 
 def sweep(
@@ -646,22 +645,13 @@ def _nanmean(a: np.ndarray) -> float:
 
 
 def _seed_summary(rows: list[MetricsRow]) -> list[MetricsRow]:
-    out = []
-    for tag, fn in (("mean", _nanmean), ("std", _nanstd)):
-        vals = {f: fn(np.array([getattr(r, f) for r in rows], dtype=float)) for f in _REAL_FIELDS}
-        first = rows[0]
-        out.append(
-            MetricsRow(
-                scenario_id=f"{first.scenario_id}-{tag}",
-                protocol=first.protocol,
-                coord_system=first.coord_system,
-                distance=first.distance,
-                align_depth=first.align_depth,
-                pairs=sum(r.pairs for r in rows),
-                **vals,
-            )
-        )
-    return out
+    first = rows[0]
+    return [
+        replace(first, scenario_id=f"{first.scenario_id}-{tag}", pairs=sum(r.pairs for r in rows),
+                excluded_pairs=0, failures=(),
+                **{f: fn(np.array([getattr(r, f) for r in rows], dtype=float)) for f in _REAL_FIELDS})
+        for tag, fn in (("mean", _nanmean), ("std", _nanstd))
+    ]
 
 
 def _nanstd(a: np.ndarray) -> float:
