@@ -70,9 +70,6 @@ def cmd_coords(args) -> int:
 def cmd_route(args) -> int:
     cfg = _load_config(args)
     sc = Scenario.build(cfg)
-    n = sc.topology.n
-    if not (0 <= args.src < n and 0 <= args.dst < n):
-        return _fail(f"src/dst must be node ids in [0, {n})")
     rr = route(cfg.protocol, args.src, args.dst, sc.ctx)
     dfield = sc.ctx.dfield(cfg.protocol, args.dst)
     lines = []

@@ -100,8 +100,8 @@ def pair_hops(t: Topology, srcs, dsts) -> np.ndarray:
     Only the requested (src, root) bits are read back, through each source's
     rank.
     """
-    srcs = np.asarray(srcs, dtype=np.int64)
-    dsts = np.asarray(dsts, dtype=np.int64)
+    srcs = _node_ids(t, srcs)
+    dsts = _node_ids(t, dsts)
     out = np.full(len(srcs), np.inf)
     if len(srcs) == 0:
         return out
@@ -180,7 +180,7 @@ def hop_rows(t: Topology, roots) -> np.ndarray:
     nodes at a time: node v's words sit in row ``rank[v]``, and unpacking
     their bytes little-end first puts root j's bit in column j.
     """
-    roots = np.asarray(roots, dtype=np.int64)
+    roots = _node_ids(t, roots)
     rank = t.degree_order.rank
     out = np.empty((len(roots), t.n), dtype=np.int32)
     for lo in range(0, len(roots), _ROOT_CHUNK):
@@ -201,21 +201,22 @@ def _bits(words: np.ndarray, k: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=1, count=k, bitorder="little")
 
 
+def _node_ids(t: Topology, ids) -> np.ndarray:
+    """``ids`` as int64 node ids; CoordsError for any id outside [0, n)."""
+    ids = np.asarray(ids, dtype=np.int64)
+    bad = ids[(ids < 0) | (ids >= t.n)]
+    if len(bad):
+        raise CoordsError(f"node {bad[0]} does not exist")
+    return ids
+
+
 def hop_counts(t: Topology, anchor: int) -> np.ndarray:
     """Breadth-first hop distance from ``anchor`` to every node.
 
     Unreachable nodes are marked -1; scenarios that rely on virtual
     coordinates must treat any -1 as a configuration error.
     """
-    return _anchor_rows(t, (anchor,))[0]
-
-
-def _anchor_rows(t: Topology, anchors: tuple[int, ...]) -> np.ndarray:
-    """(len(anchors), n) int64 hop counts from each anchor, -1 where unreachable."""
-    for a in anchors:
-        if not 0 <= a < t.n:
-            raise CoordsError(f"anchor {a} does not exist")
-    return hop_rows(t, anchors).astype(np.int64)
+    return hop_rows(t, [anchor])[0].astype(np.int64)
 
 
 # Roots per pass of hop_diameter: one uint64 word per node.
@@ -260,7 +261,7 @@ def hop_diameter(t: Topology) -> int:
 
 def build_vcs(t: Topology, anchors: AnchorSet) -> VirtualCoords:
     """Per-node hop counts to every anchor, from one breadth-first pass."""
-    h = _anchor_rows(t, anchors.ids)
+    h = hop_rows(t, anchors.ids)
     for a, row in zip(anchors.ids, h):
         if (row < 0).any():
             bad = int(np.argmax(row < 0))

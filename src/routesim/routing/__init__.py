@@ -22,7 +22,7 @@ from routesim.routing.gpsr import gpsr_route
 from routesim.routing.planar import METHOD_GG, METHOD_RNG, planarize, segments_properly_cross, count_crossings
 from routesim.routing.recovery import bvr_route, lcr_route
 from routesim.routing.result import Failure, Mode, Outcome, RouteResult, finish
-from routesim.topology import Topology
+from routesim.topology import Topology, TopologyError
 
 
 class CoordSource:
@@ -134,6 +134,8 @@ def route(protocol: str, src: int, dst: int, ctx: RoutingContext) -> RouteResult
     """Dispatch one packet under the scenario's bindings."""
     spec = _spec(protocol)
     t = ctx.topology
+    if not (0 <= src < t.n and 0 <= dst < t.n):
+        raise TopologyError(f"src/dst must be node ids in [0, {t.n})")
     if spec.recovery == Recovery.SHORTEST_PATH:
         return sp_route(src, dst, t)
     dfield = ctx.dfield(protocol, dst)

@@ -319,8 +319,8 @@ def topology_from_adjacency(
     unit-disk claim.
     """
     pos = np.asarray(positions, dtype=float)
-    w = float(pos[:, 0].max()) + 1.0 if width is None else width
-    h = float(pos[:, 1].max()) + 1.0 if height is None else height
+    w = float(pos[:, 0].max(initial=0.0)) + 1.0 if width is None else width
+    h = float(pos[:, 1].max(initial=0.0)) + 1.0 if height is None else height
     edges = [(u, v) for u, nbrs in enumerate(adjacency) for v in nbrs]
     return _from_edges(Deployment(pos, width=w, height=h), radio_range, edges)
 

@@ -70,7 +70,10 @@ def test_route_counterexample_exit_codes(cfg_file, capsys):
 
 def test_route_bad_ids(cfg_file, capsys):
     path = cfg_file(GRID_CFG)
-    assert run_cli(["--config", path, "route", "0", "4000"]) == 2
+    for ids in (["0", "4000"], ["0", "400"], ["400", "0"], ["0", "-1"], ["-1", "0"]):
+        assert run_cli(["--config", path, "route", *ids]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: src/dst must be node ids in [0, 400)\n"
 
 
 def test_eval_csv(cfg_file, capsys):

@@ -38,7 +38,7 @@ from routesim.harness import (
 from routesim.routing import (PROTOCOL_SPECS, PROTOCOLS, CoordSource, Mode, Outcome,
                               RoutingContext, route)
 from routesim.coords import check_edge_lipschitz
-from routesim.topology import VoidSpec
+from routesim.topology import TopologyError, VoidSpec
 
 
 def small_grid(protocol="gf-geo", **kw):
@@ -503,3 +503,12 @@ def test_bulk_evaluation_matches_per_pair_routes(protocol, n, radio_range, seed,
     for key in ("greedy_ratio", "delivery_ratio", "stretch_greedy", "stretch_all",
                 "stretch_complementary"):
         assert got[key] == pytest.approx(expected[key], rel=1e-9, nan_ok=True), key
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_route_rejects_ids_outside_the_graph(protocol):
+    # Unchecked, gf-geo "delivered" a path that started at node -1.
+    sc = Scenario.build(ScenarioConfig(deployment="grid", rows=4, cols=4, protocol=protocol))
+    for src, dst in ((-1, 5), (5, -1), (16, 5), (5, 16)):
+        with pytest.raises(TopologyError, match=r"^src/dst must be node ids in \[0, 16\)$"):
+            route(protocol, src, dst, sc.ctx)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from routesim import coords
-from routesim.coords import CoordsError, hop_counts, hop_diameter, hop_rows, pair_hops
+from routesim.coords import AnchorSet, CoordsError, build_vcs, hop_counts, hop_diameter, hop_rows, pair_hops
 from routesim.topology import Topology, build_udg, generate_grid, generate_random, topology_from_adjacency
 
 LONG_PATH = 300  # hops: more than eight bit planes of level counts
@@ -202,3 +202,18 @@ def test_hop_counts_int64_minus_one_and_bad_anchor():
     for bad in (-1, 4):
         with pytest.raises(CoordsError):
             hop_counts(t, bad)
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+@pytest.mark.parametrize("entry", [
+    lambda t, bad: hop_counts(t, bad),
+    lambda t, bad: hop_rows(t, [0, bad]),
+    lambda t, bad: pair_hops(t, [0, bad], [1, 1]),
+    lambda t, bad: pair_hops(t, [1, 1], [0, bad]),
+    lambda t, bad: build_vcs(t, AnchorSet((0, 1, bad))),
+], ids=["hop_counts", "hop_rows", "pair_hops_srcs", "pair_hops_dsts", "build_vcs"])
+def test_oracle_rejects_ids_outside_the_graph(entry, bad):
+    # Unchecked, -1 read node n-1's row and n raised numpy's IndexError.
+    t = _topology(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(CoordsError, match=f"^node {bad} does not exist$"):
+        entry(t, bad)

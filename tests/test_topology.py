@@ -329,6 +329,12 @@ def test_explicit_adjacency_rejects_bad_edges(adjacency):
         topology_from_adjacency(np.zeros((2, 2)), adjacency)
 
 
+def test_explicit_adjacency_rejects_no_nodes():
+    # The default bounds once failed first, on a max over no positions.
+    with pytest.raises(TopologyError, match="deployment must contain at least one node"):
+        topology_from_adjacency(np.zeros((0, 2)), [])
+
+
 @pytest.mark.parametrize("edge_lines", ["2 2\n", "0 7\n", "0 1\n-1 0\n"])
 def test_parse_rejects_bad_edges(edge_lines):
     text = format_topology(build_udg(generate_grid(1, 3, 1.0), 1.2))
