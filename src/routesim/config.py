@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import fields
 
 from routesim.harness import ScenarioConfig, ScenarioError
-from routesim.topology import VoidSpec
+from routesim.topology import TopologyError, VoidSpec
 
 
 class ConfigError(ValueError):
@@ -40,12 +40,15 @@ def parse_voids(text: str, lineno: int = 0) -> tuple[VoidSpec, ...]:
             nums = [float(x) for x in params.split(",")]
         except ValueError:
             raise ConfigError(lineno, f"bad void parameters {params!r}")
-        if kind == "disc" and len(nums) == 3:
-            out.append(VoidSpec("disc", (nums[0], nums[1]), radius=nums[2]))
-        elif kind == "rect" and len(nums) == 4:
-            out.append(VoidSpec("rect", (nums[0], nums[1]), half_w=nums[2], half_h=nums[3]))
-        else:
-            raise ConfigError(lineno, f"bad void spec {part!r} (want disc:cx,cy,r or rect:cx,cy,hw,hh)")
+        try:
+            if kind == "disc" and len(nums) == 3:
+                out.append(VoidSpec("disc", (nums[0], nums[1]), radius=nums[2]))
+            elif kind == "rect" and len(nums) == 4:
+                out.append(VoidSpec("rect", (nums[0], nums[1]), half_w=nums[2], half_h=nums[3]))
+            else:
+                raise ConfigError(lineno, f"bad void spec {part!r} (want disc:cx,cy,r or rect:cx,cy,hw,hh)")
+        except TopologyError as e:  # the void's own reason, on its line
+            raise ConfigError(lineno, str(e)) from None
     return tuple(out)
 
 

@@ -83,7 +83,7 @@ class AlignedCoords:
         return self.matrix.shape[1]
 
 
-# Roots per bit-parallel pass: sixteen uint64 words per node.
+# Roots per pass of pair_hops: sixteen uint64 words per node.
 _ROOT_CHUNK = 1024
 
 
@@ -167,33 +167,24 @@ def _bit_bfs(t: Topology, roots: np.ndarray) -> tuple[np.ndarray, list[np.ndarra
     return visited, planes
 
 
-# Nodes per block of hop_rows' read-back: one block's unpacked bits stay
-# small beside the (roots, n) result.
-_READ_BLOCK = 1024
-
-
 def hop_rows(t: Topology, roots) -> np.ndarray:
     """(len(roots), n) int32 hop counts from each root, -1 where unreached.
 
-    One ``_bit_bfs`` pass per ``_ROOT_CHUNK`` roots.  Each root's whole row is
-    read straight from the visited bitset and the bit planes, a block of
-    nodes at a time: node v's words sit in row ``rank[v]``, and unpacking
-    their bytes little-end first puts root j's bit in column j.
+    One ``_bit_bfs`` pass over all the roots, 64 or fewer from every caller
+    but ``Scenario.hop_matrix``.  Every root's whole row is read straight
+    from the visited bitset and the bit planes: node v's words sit in row
+    ``rank[v]``, and unpacking their bytes little-end first puts root j's
+    bit in column j.
     """
     roots = _node_ids(t, roots)
+    k = len(roots)
     rank = t.degree_order.rank
-    out = np.empty((len(roots), t.n), dtype=np.int32)
-    for lo in range(0, len(roots), _ROOT_CHUNK):
-        k = min(_ROOT_CHUNK, len(roots) - lo)
-        visited, planes = _bit_bfs(t, roots[lo:lo + k])
-        for a in range(0, t.n, _READ_BLOCK):
-            rows = rank[a:a + _READ_BLOCK]
-            hops = np.zeros((len(rows), k), dtype=np.int32)
-            for b, plane in enumerate(planes):
-                hops |= np.left_shift(_bits(plane[rows], k), b, dtype=np.int32)
-            hops[_bits(visited[rows], k) == 0] = -1
-            out[lo:lo + k, a:a + len(rows)] = hops.T
-    return out
+    visited, planes = _bit_bfs(t, roots)
+    hops = np.zeros((t.n, k), dtype=np.int32)
+    for b, plane in enumerate(planes):
+        hops |= np.left_shift(_bits(plane[rank], k), b, dtype=np.int32)
+    hops[_bits(visited[rank], k) == 0] = -1
+    return hops.T
 
 
 def _bits(words: np.ndarray, k: int) -> np.ndarray:

@@ -176,9 +176,9 @@ class Scenario:
     av: AlignedCoords | None
     ctx: RoutingContext
     removed_nodes: int = 0
-    # Shortest-path hops of the pairs _sampled_pairs yields, in that order.
+    # Shortest-path hops of the pairs _sampled_pairs yields, in that order;
+    # for all pairs, None until evaluate_scenario fills it in.
     sampled_hops: np.ndarray | None = field(default=None, repr=False)
-    _hops: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def build(cls, config: ScenarioConfig) -> "Scenario":
@@ -212,11 +212,12 @@ class Scenario:
             semi_weight=config.semi_weight,
         )
         sc = cls(config=config, topology=t, vc=vc, av=av, ctx=ctx, removed_nodes=removed)
-        sc.sampled_hops = _sampled_hops(sc)
+        if 0 < config.sample < t.n * (t.n - 1):
+            sc.sampled_hops = pair_hops(t, *_sampled_pairs(sc))
         return sc
 
     def hop_matrix(self) -> np.ndarray:
-        """All-pairs hop distances (float, inf across components); cached.
+        """All-pairs hop distances (float, inf across components).
 
         Nothing in routesim calls this O(n^2) matrix: building and
         evaluating a scenario use ``pair_hops`` on the pairs they need.  It
@@ -225,10 +226,8 @@ class Scenario:
         inside routesim instead.  Row i is node i's ``hop_rows`` row, which
         is column i too, since the graph is symmetric.
         """
-        if self._hops is None:
-            h = hop_rows(self.topology, np.arange(self.topology.n))
-            self._hops = np.where(h >= 0, h, np.inf)
-        return self._hops
+        h = hop_rows(self.topology, np.arange(self.topology.n))
+        return np.where(h >= 0, h, np.inf)
 
     @property
     def effective_depth(self) -> int:
@@ -485,27 +484,6 @@ def _sampled_pairs(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
 _ORACLE_BLOCK = 64
 
 
-def _sampled_hops(sc: Scenario) -> np.ndarray:
-    """Shortest-path hops of the pairs _sampled_pairs yields, in that order.
-
-    All pairs are taken a block of destinations at a time: a destination's
-    ``hop_rows`` row, less its own entry, holds its pairs in source order
-    (the graph is symmetric).  Besides the result, only one block's rows are
-    held at once.
-    """
-    t = sc.topology
-    n = t.n
-    if 0 < sc.config.sample < n * (n - 1):
-        return pair_hops(t, *_sampled_pairs(sc))
-    out = np.empty(n * (n - 1))
-    nodes = np.arange(n)
-    for lo in range(0, n, _ORACLE_BLOCK):
-        block = nodes[lo:lo + _ORACLE_BLOCK]
-        h = hop_rows(t, block)[nodes != block[:, None]]
-        out[lo * (n - 1):(lo + len(block)) * (n - 1)] = np.where(h >= 0, h, np.inf)
-    return out
-
-
 def evaluate(config: ScenarioConfig, workers: int = 1) -> MetricsRow:
     """Build the scenario and route every (or each sampled) ordered pair."""
     sc = Scenario.build(config)
@@ -514,6 +492,18 @@ def evaluate(config: ScenarioConfig, workers: int = 1) -> MetricsRow:
 
 def evaluate_scenario(sc: Scenario, workers: int = 1) -> MetricsRow:
     srcs, dsts = _sampled_pairs(sc)
+    if sc.sampled_hops is None:
+        # All pairs, a block of destinations at a time: a destination's
+        # hop_rows row, less its own entry, holds its pairs in source order
+        # (the graph is symmetric).  Only one block's rows are held at once,
+        # and forked workers inherit the result.
+        n = sc.topology.n
+        nodes = np.arange(n)
+        sc.sampled_hops = np.empty(n * (n - 1))
+        for lo in range(0, n, _ORACLE_BLOCK):
+            block = nodes[lo:lo + _ORACLE_BLOCK]
+            h = hop_rows(sc.topology, block)[nodes != block[:, None]]
+            sc.sampled_hops[lo * (n - 1):(lo + len(block)) * (n - 1)] = np.where(h >= 0, h, np.inf)
     bounds = np.flatnonzero(np.diff(dsts, prepend=-1)).tolist() + [len(dsts)]
     groups = [(int(dsts[lo]), lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if workers <= 1 or not groups:
@@ -700,32 +690,6 @@ def distance_map(config: ScenarioConfig, dst: int) -> DistanceMap:
         positions=sc.topology.positions,
         dist=shown,
         local_minima=minima,
-    )
-
-
-# Reference distance-map fixture: a 20x20 four-connected grid whose raw 4D
-# coordinate field toward cell (2, 8) contains forwarding voids that one
-# alignment round removes.  The anchor cells were found by seeded search
-# (corner anchors provably admit no such void on a void-free grid: their
-# hop counts embed the grid affinely, so every node keeps a strictly closer
-# neighbor).  Node 84 = cell (4, 4) is one of the raw local minima.
-FIG_MAP_ANCHORS = (114, 143, 326, 348)
-FIG_MAP_DST = 162          # cell (x=2, y=8)
-FIG_MAP_MINIMUM = 84       # cell (x=4, y=4)
-
-
-def fig_map_config(protocol: str = "gf-vcs", align_depth: int = 0) -> ScenarioConfig:
-    """Scenario for the forwarding-void distance maps (20x20 grid, 4D VCS)."""
-    return ScenarioConfig(
-        deployment="grid",
-        rows=20,
-        cols=20,
-        spacing=1.0,
-        radio_range=1.2,
-        anchors=FIG_MAP_ANCHORS,
-        protocol=protocol,
-        align_depth=align_depth,
-        distance="euclid",
     )
 
 

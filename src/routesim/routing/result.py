@@ -52,12 +52,6 @@ class RouteResult:
     def hops(self) -> int:
         return len(self.path) - 1
 
-    def mode_counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for m in self.modes:
-            out[m] = out.get(m, 0) + 1
-        return out
-
 
 def finish(src: int, dst: int, path: list[int], modes: list[str],
            failure: str | None = None) -> RouteResult:

@@ -39,6 +39,8 @@ class Deployment:
     height: float
 
     def __post_init__(self):
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise TopologyError("deployment width and height must be finite and positive")
         pos = np.ascontiguousarray(np.asarray(self.positions, dtype=float))
         if pos.ndim != 2 or pos.shape[1] != 2:
             raise TopologyError("positions must be an (n, 2) array")
@@ -208,8 +210,12 @@ def _from_edges(d: Deployment, radio_range: float, edges) -> Topology:
     """The one constructor of a Topology from an (m, 2) int edge array.
 
     Edges may come in either orientation and repeat; both orientations are
-    stored once, sorted by (u, v).  Self loops and ids outside [0, n) raise.
+    stored once, sorted by (u, v).  Self loops, ids outside [0, n) and a
+    radio range that is NaN or not positive raise; an infinite range is a
+    unit-disk graph linking every pair.
     """
+    if not radio_range > 0:
+        raise TopologyError("radio range must be positive")
     n = d.n
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if ((e < 0) | (e >= n)).any():

@@ -6,21 +6,22 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 
 import math
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from routesim import distance as dm
+from routesim.config import load_config
 from routesim.coords import align, build_vcs, check_edge_lipschitz, corner_anchors
 from routesim.harness import (
     ABC_A,
     ABC_B,
     ABC_C,
-    FIG_MAP_DST,
     ScenarioConfig,
     distance_map,
     evaluate,
-    fig_map_config,
     fixture_abc,
     sweep,
 )
@@ -163,8 +164,10 @@ def test_criterion_4_abc_counterexample():
 def test_criterion_5_distance_map_fixture():
     """Raw coordinates leave forwarding voids toward cell (2, 8); one
     alignment round clears every one of them."""
-    raw = distance_map(fig_map_config("gf-vcs", 0), FIG_MAP_DST)
-    aligned = distance_map(fig_map_config("gf-avcs", 1), FIG_MAP_DST)
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "forwarding_void_map.cfg")
+    dst = 162   # cell (x=2, y=8)
+    raw = distance_map(cfg, dst)
+    aligned = distance_map(replace(cfg, protocol="gf-avcs", align_depth=1), dst)
     ok = len(raw.local_minima) >= 1 and len(aligned.local_minima) == 0
     report(
         "criterion 5 (distance-map reproduction)",

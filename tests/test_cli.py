@@ -2,8 +2,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from routesim import harness
 from routesim.cli import main
 from routesim.config import _KEY_TYPES
 from routesim.harness import Scenario
@@ -111,6 +113,42 @@ def test_sample_flag_reaches_every_command(cfg_file, capsys, monkeypatch, comman
     assert capsys.readouterr().out == plain
 
 
+# A 12x12 grid on all pairs: its pair oracle is n(n-1) hops.
+ALL_PAIRS_CFG = "deployment = grid\nrows = 12\ncols = 12\nradio_range = 1.5\nprotocol = gf-avcs\nalign_depth = 1\n"
+
+
+def _refuse_oracle(*args):
+    raise AssertionError("a pair oracle was built")
+
+
+@pytest.mark.parametrize("command", [["gen"], ["coords"], ["route", "0", "143"], ["map", "5"]])
+def test_commands_that_do_not_evaluate_build_no_pair_oracle(cfg_file, capsys, monkeypatch, command):
+    monkeypatch.setattr(harness, "hop_rows", _refuse_oracle)
+    monkeypatch.setattr(harness, "pair_hops", _refuse_oracle)
+    assert run_cli(["--config", cfg_file(ALL_PAIRS_CFG)] + command) == 0
+    assert capsys.readouterr().out
+
+
+def test_eval_builds_the_all_pairs_oracle_once(cfg_file, capsys, monkeypatch):
+    path = cfg_file(ALL_PAIRS_CFG)
+    rows = harness.hop_rows
+    blocks = []
+
+    def recording(t, roots):
+        blocks.append(np.array(roots))
+        return rows(t, roots)
+
+    monkeypatch.setattr(harness, "hop_rows", recording)
+    outs = []
+    for workers in ("1", "2"):
+        blocks.clear()
+        assert run_cli(["--config", path, "--workers", workers, "eval"]) == 0
+        outs.append(capsys.readouterr().out)
+        # every destination's row once, before any worker forks
+        assert np.array_equal(np.concatenate(blocks), np.arange(144))
+    assert outs[0] == outs[1] and outs[0].splitlines()[1].split(",")[6] == str(144 * 143)
+
+
 def test_sweep_rows(cfg_file, capsys):
     path = cfg_file(GRID_CFG.replace("gf-geo", "gf-avcs"))
     assert run_cli(["--config", path, "--sample", "400", "sweep", "align_depth", "0", "1", "2", "3"]) == 0
@@ -135,6 +173,27 @@ def test_non_finite_void_parameter_exits_2(cfg_file, capsys, voids):
     assert run_cli(["--config", path, "eval"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: config line 4:")
+
+
+@pytest.mark.parametrize("voids, reason", [
+    ("disc:1,2,-3", "disc void needs a positive radius"),
+    ("rect:1,2,0,3", "rect void needs positive half extents"),
+])
+def test_rejected_void_keeps_its_reason(cfg_file, capsys, voids, reason):
+    path = cfg_file(f"deployment = grid\nrows = 5\ncols = 5\nvoids = {voids}\n")
+    assert run_cli(["--config", path, "eval"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: config line 4: {reason}\n"
+
+
+@pytest.mark.parametrize("width", ["0", "-5"])
+def test_bad_deployment_width_exits_2(cfg_file, capsys, width):
+    # A zero width once put every node on x = 0 and evaluated.
+    path = cfg_file(f"deployment = random\nn = 50\nwidth = {width}\n")
+    assert run_cli(["--config", path, "eval"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: deployment width and height must be finite and positive\n"
 
 
 @pytest.mark.parametrize("axis, value", [("seed", "1.5"), ("radio_range", "abc"), ("align_depth", "x")])

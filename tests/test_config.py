@@ -83,6 +83,8 @@ def test_parse_voids_variants():
     assert vs[1].half_w == 1.0 and vs[1].half_h == 2.0
     with pytest.raises(ConfigError):
         parse_voids("blob:1,2,3", lineno=4)
+    with pytest.raises(ConfigError, match="^config line 6: disc void needs a positive radius$"):
+        parse_voids("rect:4,5,1,2; disc:1,2,-3", lineno=6)
 
 
 def test_semantic_error_reported():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 
 from routesim.distance import euclidean_field
@@ -107,6 +109,6 @@ def test_gpsr_mode_attribution():
     t, src, dst = u_shape_topology()
     pg = planarize(t, t.positions, METHOD_GG)
     rr = gpsr_route(src, dst, euclidean_field(t.positions, t.positions[dst]), t.positions, pg, t, 100)
-    counts = rr.mode_counts()
+    counts = Counter(rr.modes)
     assert set(counts) <= {Mode.GREEDY, Mode.PERIMETER}
     assert (rr.outcome == Outcome.DELIVERED_GREEDY) == (counts.get(Mode.PERIMETER, 0) == 0)

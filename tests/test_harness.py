@@ -7,12 +7,14 @@ import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
+from routesim.config import load_config
 from routesim.coords import CoordsError, hop_diameter
 from routesim.harness import (
     ABC_A,
@@ -20,8 +22,6 @@ from routesim.harness import (
     ABC_C,
     ABC_VECTORS,
     CSV_HEADER,
-    FIG_MAP_DST,
-    FIG_MAP_MINIMUM,
     LOCKSTEP_CROSSOVER,
     Scenario,
     ScenarioConfig,
@@ -31,7 +31,6 @@ from routesim.harness import (
     _sampled_pairs,
     evaluate,
     evaluate_scenario,
-    fig_map_config,
     fixture_abc,
     sweep,
 )
@@ -312,11 +311,21 @@ def test_sweep_hole_count_quincunx():
     assert n0 >= n1 >= n5  # more holes, fewer nodes, fewer sampled reachable pairs
 
 
+# A 20x20 four-connected grid whose raw 4D coordinate field toward cell
+# (2, 8) has forwarding voids that one alignment round removes.  Its anchor
+# cells were found by seeded search: corner anchors admit no such void on a
+# void-free grid, since their hop counts embed the grid affinely.
+FIG_MAP = Path(__file__).resolve().parents[1] / "configs" / "forwarding_void_map.cfg"
+FIG_MAP_DST = 162          # cell (x=2, y=8)
+FIG_MAP_MINIMUM = 84       # cell (x=4, y=4), one of the raw local minima
+
+
 def test_distance_map_fixture():
-    m0 = distance_map(fig_map_config("gf-vcs", 0), FIG_MAP_DST)
+    raw = load_config(FIG_MAP)
+    m0 = distance_map(raw, FIG_MAP_DST)
     assert m0.dist[FIG_MAP_DST] == 0.0
     assert FIG_MAP_MINIMUM in m0.local_minima
-    m1 = distance_map(fig_map_config("gf-avcs", 1), FIG_MAP_DST)
+    m1 = distance_map(replace(raw, protocol="gf-avcs", align_depth=1), FIG_MAP_DST)
     assert m1.local_minima == ()
     csv = m0.csv().splitlines()
     assert csv[0] == "x,y,dist,is_local_min"
@@ -326,7 +335,7 @@ def test_distance_map_fixture():
 
 def test_distance_map_bad_destination():
     with pytest.raises(ScenarioError):
-        distance_map(fig_map_config(), 10_000)
+        distance_map(load_config(FIG_MAP), 10_000)
 
 
 def test_abc_fixture_takes_loc_error():
@@ -428,7 +437,6 @@ def test_hop_matrix_matches_networkx_across_components():
     hops = sc.hop_matrix()
     assert np.isinf(hops).any()
     assert np.array_equal(hops, _networkx_hops(sc.topology))
-    assert sc.hop_matrix() is hops
 
 
 def _per_pair_metrics(sc):
@@ -466,6 +474,27 @@ def _per_pair_metrics(sc):
                 stretch_complementary=ratio(sum_comp, episodes))
 
 
+# Sampled recovery scenarios whose pairs stall in both kernels: lockstep
+# pairs cut off by the TTL in the greedy prefix or stalled at a local
+# minimum, and stalled pairs of forest groups.
+STALLING_EXAMPLES = (
+    dict(protocol="lcr", n=34, radio_range=1.6, seed=4, ttl_factor=0.6, loc_error=0.4,
+         align_depth=1, distance="euclid", sample_per_node=3),
+    dict(protocol="bvr", n=34, radio_range=1.6, seed=4, ttl_factor=0.6, loc_error=0.4,
+         align_depth=1, distance="euclid", sample_per_node=3),
+    dict(protocol="gpsr-rng", n=34, radio_range=1.4, seed=3, ttl_factor=0.6, loc_error=0.4,
+         align_depth=1, distance="euclid", sample_per_node=3),
+)
+
+
+def _random_config(protocol, n, radio_range, seed, ttl_factor, loc_error, align_depth, distance,
+                   sample_per_node):
+    return ScenarioConfig(deployment="random", n=n, width=6.0, height=6.0,
+                          radio_range=radio_range, protocol=protocol, seed=seed,
+                          ttl_factor=ttl_factor, loc_error=loc_error,
+                          align_depth=align_depth, distance=distance, sample=sample_per_node * n)
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(protocol=st.sampled_from(PROTOCOLS), n=st.integers(6, 34),
        radio_range=st.floats(1.2, 2.6), seed=st.integers(1, 10_000),
@@ -474,24 +503,14 @@ def _per_pair_metrics(sc):
        sample_per_node=st.sampled_from((0, 1, 3)))
 @example(protocol="gf-geo", n=34, radio_range=1.375, seed=1, ttl_factor=0.6, loc_error=0.0,
          align_depth=0, distance="euclid", sample_per_node=0)
-# Sampled, with lockstep pairs cut off by the TTL in the greedy prefix,
-# lockstep pairs stalled at a local minimum, and forest groups.
-@example(protocol="lcr", n=34, radio_range=1.6, seed=4, ttl_factor=0.6, loc_error=0.4,
-         align_depth=1, distance="euclid", sample_per_node=3)
-@example(protocol="bvr", n=34, radio_range=1.6, seed=4, ttl_factor=0.6, loc_error=0.4,
-         align_depth=1, distance="euclid", sample_per_node=3)
-@example(protocol="gpsr-rng", n=34, radio_range=1.4, seed=3, ttl_factor=0.6, loc_error=0.4,
-         align_depth=1, distance="euclid", sample_per_node=3)
-def test_bulk_evaluation_matches_per_pair_routes(protocol, n, radio_range, seed, ttl_factor,
-                                                 loc_error, align_depth, distance, sample_per_node):
+@example(**STALLING_EXAMPLES[0])
+@example(**STALLING_EXAMPLES[1])
+@example(**STALLING_EXAMPLES[2])
+def test_bulk_evaluation_matches_per_pair_routes(**case):
     """All pairs route through greedy forests; sampled pairs mostly through
     greedy_lockstep, with a forest for each destination that drew many sources."""
-    cfg = ScenarioConfig(deployment="random", n=n, width=6.0, height=6.0,
-                         radio_range=radio_range, protocol=protocol, seed=seed,
-                         ttl_factor=ttl_factor, loc_error=loc_error,
-                         align_depth=align_depth, distance=distance, sample=sample_per_node * n)
     try:
-        sc = Scenario.build(cfg)
+        sc = Scenario.build(_random_config(**case))
     except CoordsError:  # virtual coordinates need a connected graph
         assume(False)
     row = evaluate_scenario(sc)
@@ -503,6 +522,19 @@ def test_bulk_evaluation_matches_per_pair_routes(protocol, n, radio_range, seed,
     for key in ("greedy_ratio", "delivery_ratio", "stretch_greedy", "stretch_all",
                 "stretch_complementary"):
         assert got[key] == pytest.approx(expected[key], rel=1e-9, nan_ok=True), key
+
+
+@pytest.mark.parametrize("case", STALLING_EXAMPLES, ids=lambda case: case["protocol"])
+def test_stalling_examples_stall_pairs_in_both_kernels(case):
+    # The gate of bulk recovery: the examples above must keep stalled pairs
+    # in lockstep groups and in forest groups, by per-pair route.
+    sc = Scenario.build(_random_config(**case))
+    srcs, dsts = (a[np.isfinite(sc.sampled_hops)].tolist() for a in _sampled_pairs(sc))
+    sources = Counter(dsts)
+    stalled = Counter(sources[dst] ** 2 < LOCKSTEP_CROSSOVER * sc.topology.n
+                      for src, dst in zip(srcs, dsts)
+                      if route(case["protocol"], src, dst, sc.ctx).outcome != Outcome.DELIVERED_GREEDY)
+    assert stalled[True] > 0 and stalled[False] > 0, stalled
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)

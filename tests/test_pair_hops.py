@@ -95,12 +95,11 @@ def test_hop_diameter_matches_networkx_per_component(t):
 
 
 def test_pair_hops_over_several_root_passes():
-    # Two full passes of roots and a partial third, over more nodes than
-    # hop_rows reads back in one block; the deployment (mean degree about
-    # 5.5) leaves isolated nodes and several components.
+    # Two full passes of pair_hops roots and a partial third, which hop_rows
+    # reads in one pass; the deployment (mean degree about 5.5) leaves
+    # isolated nodes and several components.
     roots = 2 * coords._ROOT_CHUNK + coords._ROOT_CHUNK // 3
     n = roots + roots // 4
-    assert n > coords._READ_BLOCK
     side = 20.0 * (n / 700) ** 0.5
     t = build_udg(generate_random(n, side, side, 4), 1.0)
     g = _graph(t)
@@ -114,6 +113,20 @@ def test_pair_hops_over_several_root_passes():
     shuffled = rng.permutation(roots)
     assert np.array_equal(hop_rows(t, shuffled), want[shuffled])
     assert hop_diameter(t) == _diameter(g)
+
+
+def test_hop_rows_reads_every_root_in_one_pass(monkeypatch):
+    # No roots give an empty block; more than 1024 roots, some repeated,
+    # share one pass over a deployment with isolated nodes and several
+    # components.
+    t = build_udg(generate_random(1100, 25.0, 25.0, 2), 1.0)
+    g = _graph(t)
+    assert nx.number_connected_components(g) > 1 and any(len(a) == 0 for a in t.adjacency)
+    passes = _record_passes(monkeypatch)
+    assert hop_rows(t, []).shape == (0, t.n)
+    roots = np.concatenate([np.arange(t.n)[::-1], [7, 7, 0]])
+    assert np.array_equal(hop_rows(t, roots), _expected_rows(g, roots.tolist()))
+    assert [len(p) for p in passes] == [0, t.n + 3]
 
 
 def _record_passes(monkeypatch):

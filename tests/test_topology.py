@@ -250,9 +250,39 @@ def test_deployment_rejects_out_of_bounds():
 
 @pytest.mark.parametrize("x", [math.nan, math.inf])
 def test_deployment_rejects_non_finite_positions(x):
-    # a NaN passes every bounds comparison; an infinite width admits inf
-    with pytest.raises(TopologyError):
-        Deployment(np.array([[x, 0.5], [0.5, 0.5]]), width=math.inf, height=1.0)
+    # a NaN passes every bounds comparison
+    with pytest.raises(TopologyError, match="^positions must be finite$"):
+        Deployment(np.array([[x, 0.5], [0.5, 0.5]]), width=1.0, height=1.0)
+
+
+@pytest.mark.parametrize("width, height", [
+    (0.0, 1.0), (-5.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (1.0, 0.0), (1.0, -math.inf),
+])
+def test_deployment_rejects_bad_extents(width, height):
+    # Unchecked, a zero-width random deployment put every node on x = 0, and
+    # a negative width blamed the positions.
+    with pytest.raises(TopologyError, match="^deployment width and height must be finite and positive$"):
+        Deployment(np.array([[0.0, 0.0]]), width=width, height=height)
+    with pytest.raises(TopologyError, match="^deployment width and height"):
+        generate_random(5, width, height, 1)
+
+
+@pytest.mark.parametrize("header, reason", [
+    ("nodes 3 width nan height 1.000000 range 1.200000", "deployment width and height"),
+    ("nodes 3 width 3.000000 height 0.000000 range 1.200000", "deployment width and height"),
+    ("nodes 3 width 3.000000 height 1.000000 range -1.000000", "radio range must be positive"),
+    ("nodes 3 width 3.000000 height 1.000000 range nan", "radio range must be positive"),
+])
+def test_parse_rejects_bad_extents_and_range(header, reason):
+    text = format_topology(build_udg(generate_grid(1, 3, 1.0), 1.2))
+    with pytest.raises(TopologyError, match=f"^{reason}"):
+        parse_topology(header + text[text.index("\n"):])
+
+
+@pytest.mark.parametrize("radio_range", [math.nan, 0.0, -1.0])
+def test_explicit_adjacency_rejects_nan_and_non_positive_range(radio_range):
+    with pytest.raises(TopologyError, match="^radio range must be positive$"):
+        topology_from_adjacency(np.zeros((2, 2)), [[1], []], radio_range=radio_range)
 
 
 @st.composite
