@@ -54,7 +54,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 def cmd_gen(args) -> int:
     cfg = _load_config(args)
-    sc = Scenario.build(cfg)
+    sc = Scenario.routing(cfg)
     _write_out(format_topology(sc.topology), args.out)
     return EXIT_OK
 
@@ -63,13 +63,13 @@ def cmd_coords(args) -> int:
     cfg = _load_config(args)
     if cfg.spec.coords == CoordSource.GEO:
         return _fail("coords needs a virtual-coordinate protocol (gf-vcs, gf-avcs, lcr, bvr)")
-    _write_out(format_coords(Scenario.build(cfg).av), args.out)
+    _write_out(format_coords(Scenario.routing(cfg).av), args.out)
     return EXIT_OK
 
 
 def cmd_route(args) -> int:
     cfg = _load_config(args)
-    sc = Scenario.build(cfg)
+    sc = Scenario.routing(cfg)
     rr = route(cfg.protocol, args.src, args.dst, sc.ctx)
     dfield = sc.ctx.dfield(cfg.protocol, args.dst)
     lines = []

@@ -315,12 +315,6 @@ def align(vc: VirtualCoords, t: Topology, depth: int, rule: str = RULE_SELF_WEIG
     return AlignedCoords(a, depth=depth, rule=rule, anchors=vc.anchors)
 
 
-def check_edge_lipschitz(vc: VirtualCoords, t: Topology) -> bool:
-    """Every edge differs by at most one hop in every dimension (BFS property)."""
-    u, v = t.edges().T
-    return bool((np.abs(vc.matrix[u] - vc.matrix[v]) <= 1).all())
-
-
 def format_coords(ac: AlignedCoords) -> str:
     """Coordinate dump: header with depth/rule/anchors, then one node per line."""
     lines = [

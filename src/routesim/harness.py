@@ -145,6 +145,13 @@ class ScenarioConfig:
                 raise ScenarioError("anchors must be 'corners' or an id tuple")
             if not 3 <= self.dims <= 4:
                 raise ScenarioError("corner anchors support 3 or 4 dims")
+        else:
+            try:
+                AnchorSet(self.anchors)
+            except CoordsError as e:
+                raise ScenarioError(str(e)) from None
+            if min(self.anchors) < 0:
+                raise ScenarioError("anchor ids must be >= 0")
 
     def scenario_id(self) -> str:
         tag = hashlib.md5(repr(self).encode()).hexdigest()[:8]
@@ -164,7 +171,7 @@ class ScenarioConfig:
 
 @dataclass
 class Scenario:
-    """A fully built scenario: topology, coordinate systems, routing context.
+    """A built scenario: topology, coordinate systems, routing context, pairs.
 
     ``vc`` and ``av`` are None for geographic protocols; otherwise ``av`` is
     the configured alignment of ``vc``, a float copy of it at depth 0.
@@ -176,12 +183,12 @@ class Scenario:
     av: AlignedCoords | None
     ctx: RoutingContext
     removed_nodes: int = 0
-    # Shortest-path hops of the pairs _sampled_pairs yields, in that order;
-    # for all pairs, None until evaluate_scenario fills it in.
-    sampled_hops: np.ndarray | None = field(default=None, repr=False)
+    # (srcs, dsts, hops) of the pairs evaluation routes; None from ``routing``.
+    pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @classmethod
-    def build(cls, config: ScenarioConfig) -> "Scenario":
+    def routing(cls, config: ScenarioConfig) -> "Scenario":
+        """Topology, coordinates, TTL and routing context, without the pairs."""
         removed = 0
         if config.deployment == "abc-fixture":
             t, vc = fixture_abc()
@@ -211,9 +218,13 @@ class Scenario:
             distance_kind=config.distance if config.distance != "geo" else "euclid",
             semi_weight=config.semi_weight,
         )
-        sc = cls(config=config, topology=t, vc=vc, av=av, ctx=ctx, removed_nodes=removed)
-        if 0 < config.sample < t.n * (t.n - 1):
-            sc.sampled_hops = pair_hops(t, *_sampled_pairs(sc))
+        return cls(config=config, topology=t, vc=vc, av=av, ctx=ctx, removed_nodes=removed)
+
+    @classmethod
+    def build(cls, config: ScenarioConfig) -> "Scenario":
+        """The routing scenario and its pairs: what evaluation reads."""
+        sc = cls.routing(config)
+        sc.pairs = _pairs(sc)
         return sc
 
     def hop_matrix(self) -> np.ndarray:
@@ -320,11 +331,11 @@ class _Outcomes(NamedTuple):
 LOCKSTEP_CROSSOVER = 0.5
 
 
-def _eval_run(sc: Scenario, srcs: np.ndarray, groups: list[tuple[int, int, int]]) -> _Outcomes:
+def _eval_run(sc: Scenario, groups: list[tuple[int, int, int]]) -> _Outcomes:
     """Route a contiguous run of destination groups.
 
-    A group ``(dst, lo, hi)`` holds the pairs ``(srcs[i], dst)`` for i in
-    [lo, hi), with shortest-path hops ``sc.sampled_hops[i]``.  Greedy
+    A group ``(dst, lo, hi)`` holds the pairs i in [lo, hi) of ``sc.pairs``:
+    ``(srcs[i], dst)``, with shortest-path hops ``hops[i]``.  Greedy
     outcomes of every pair come from the bulk kernels: the sparse groups of
     the run share greedy_lockstep batches, each dense group gets its own
     greedy forest.  Recovery protocols then run their per-pair engine on the
@@ -337,12 +348,11 @@ def _eval_run(sc: Scenario, srcs: np.ndarray, groups: list[tuple[int, int, int]]
     t = sc.topology
     ttl = sc.ctx.ttl
     base, end = (groups[0][1], groups[-1][2]) if groups else (0, 0)
-    sp = sc.sampled_hops[base:end]
+    run_srcs, _, sp = (a[base:end] for a in sc.pairs)
     reach = np.isfinite(sp)
     if spec.recovery == Recovery.SHORTEST_PATH:
         return _Outcomes(reach, reach, np.where(reach, sp, 0).astype(np.int64), Counter(),
                          np.empty((0, 4), dtype=np.int64))
-    run_srcs = srcs[base:end]
     sizes = np.array([hi - lo for _, lo, hi in groups], dtype=np.int64)
     group_of = np.repeat(np.arange(len(groups)), sizes)
     sources = np.bincount(group_of[reach], minlength=len(groups))
@@ -462,26 +472,37 @@ def _complementary_stretch(t: Topology, episodes: np.ndarray) -> float:
     return _ordered_sum(hops / pair_hops(t, end, entry), dst) / len(episodes)
 
 
-def _sampled_pairs(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered (src, dst) pairs to evaluate, sorted by (dst, src)."""
+# Destinations per block of the all-pairs oracle: one uint64 word per node,
+# which keeps a block's rows small beside the n(n-1) result.
+_ORACLE_BLOCK = 64
+
+
+def _pairs(sc: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(srcs, dsts, shortest-path hops, inf across components) of every ordered
+    pair, or of the config's sample of them, sorted by (dst, src)."""
     n = sc.topology.n
-    budget = sc.config.sample
     total = n * (n - 1)
-    if budget == 0 or budget >= total:
-        ks = np.arange(total, dtype=np.int64)
-    else:
+    if 0 < sc.config.sample < total:
         rng = np.random.default_rng([sc.config.seed, _SAMPLE_SALT])
-        ks = np.sort(rng.choice(total, size=budget, replace=False))
+        ks = np.sort(rng.choice(total, size=sc.config.sample, replace=False))
+    else:
+        ks = np.arange(total, dtype=np.int64)
     # Pair index k = dst * (n - 1) + (rank of src among the other nodes), so
     # ascending k is ascending (dst, src).
     dsts, srcs = np.divmod(ks, n - 1)
     srcs += srcs >= dsts
-    return srcs, dsts
-
-
-# Destinations per block of the all-pairs oracle: one uint64 word per node,
-# which keeps a block's rows small beside the n(n-1) result.
-_ORACLE_BLOCK = 64
+    if len(ks) < total:
+        return srcs, dsts, pair_hops(sc.topology, srcs, dsts)
+    # All pairs, a block of destinations at a time: a destination's hop_rows
+    # row, less its own entry, holds its pairs in source order (the graph is
+    # symmetric).  Only one block's rows are held at once.
+    nodes = np.arange(n)
+    hops = np.empty(total)
+    for lo in range(0, n, _ORACLE_BLOCK):
+        block = nodes[lo:lo + _ORACLE_BLOCK]
+        h = hop_rows(sc.topology, block)[nodes != block[:, None]]
+        hops[lo * (n - 1):(lo + len(block)) * (n - 1)] = np.where(h >= 0, h, np.inf)
+    return srcs, dsts, hops
 
 
 def evaluate(config: ScenarioConfig, workers: int = 1) -> MetricsRow:
@@ -491,25 +512,14 @@ def evaluate(config: ScenarioConfig, workers: int = 1) -> MetricsRow:
 
 
 def evaluate_scenario(sc: Scenario, workers: int = 1) -> MetricsRow:
-    srcs, dsts = _sampled_pairs(sc)
-    if sc.sampled_hops is None:
-        # All pairs, a block of destinations at a time: a destination's
-        # hop_rows row, less its own entry, holds its pairs in source order
-        # (the graph is symmetric).  Only one block's rows are held at once,
-        # and forked workers inherit the result.
-        n = sc.topology.n
-        nodes = np.arange(n)
-        sc.sampled_hops = np.empty(n * (n - 1))
-        for lo in range(0, n, _ORACLE_BLOCK):
-            block = nodes[lo:lo + _ORACLE_BLOCK]
-            h = hop_rows(sc.topology, block)[nodes != block[:, None]]
-            sc.sampled_hops[lo * (n - 1):(lo + len(block)) * (n - 1)] = np.where(h >= 0, h, np.inf)
+    """Route the pairs of a built scenario; the scenario is only read."""
+    _, dsts, sp = sc.pairs
     bounds = np.flatnonzero(np.diff(dsts, prepend=-1)).tolist() + [len(dsts)]
     groups = [(int(dsts[lo]), lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if workers <= 1 or not groups:
-        runs = [_eval_run(sc, srcs, groups)]
+        runs = [_eval_run(sc, groups)]
     else:
-        runs = _parallel_eval(sc, srcs, groups, workers)
+        runs = _parallel_eval(sc, groups, workers)
     greedy = np.concatenate([run.greedy for run in runs])
     delivered = np.concatenate([run.delivered for run in runs])
     hops = np.concatenate([run.hops for run in runs])
@@ -517,7 +527,6 @@ def evaluate_scenario(sc: Scenario, workers: int = 1) -> MetricsRow:
     for run in runs:
         failures += run.failures      # keeps positive counts only
 
-    sp = sc.sampled_hops
     pairs = int(np.count_nonzero(np.isfinite(sp)))
     n_greedy = int(np.count_nonzero(greedy))
     n_delivered = int(np.count_nonzero(delivered))
@@ -544,32 +553,29 @@ def evaluate_scenario(sc: Scenario, workers: int = 1) -> MetricsRow:
     )
 
 
-# Inherited by forked workers: the scenario and the sources of its pairs.
+# Inherited by forked workers: the scenario whose pairs they route.
 _FORK_SCENARIO: Scenario | None = None
-_FORK_SRCS: np.ndarray | None = None
 
 
 def _fork_worker(run: list[tuple[int, int, int]]) -> _Outcomes:
-    return _eval_run(_FORK_SCENARIO, _FORK_SRCS, run)
+    return _eval_run(_FORK_SCENARIO, run)
 
 
-def _parallel_eval(sc: Scenario, srcs: np.ndarray, groups, workers: int) -> list[_Outcomes]:
+def _parallel_eval(sc: Scenario, groups, workers: int) -> list[_Outcomes]:
     """Fork-based pool over contiguous runs of groups, each evaluated as a
     serial run is; runs come back in ascending dst order, so the reduced
     result is byte-identical to a serial run."""
     import multiprocessing as mp
 
-    global _FORK_SCENARIO, _FORK_SRCS
+    global _FORK_SCENARIO
     size = max(1, -(-len(groups) // (workers * 4)))
     runs = [groups[i:i + size] for i in range(0, len(groups), size)]
     _FORK_SCENARIO = sc
-    _FORK_SRCS = srcs
     try:
         with mp.get_context("fork").Pool(processes=min(workers, len(runs))) as pool:
             return pool.map(_fork_worker, runs, chunksize=1)
     finally:
         _FORK_SCENARIO = None
-        _FORK_SRCS = None
 
 
 # --- sweeps ---------------------------------------------------------------
@@ -677,7 +683,7 @@ def distance_map(config: ScenarioConfig, dst: int) -> DistanceMap:
     The destination's own entry is zero by definition (arrival is by node
     identity, not by coordinate equality).
     """
-    sc = Scenario.build(config)
+    sc = Scenario.routing(config)
     if not 0 <= dst < sc.topology.n:
         raise ScenarioError(f"destination {dst} does not exist")
     dfield = sc.ctx.dfield(config.protocol, dst)

@@ -14,7 +14,7 @@ import pytest
 
 from routesim import distance as dm
 from routesim.config import load_config
-from routesim.coords import align, build_vcs, check_edge_lipschitz, corner_anchors
+from routesim.coords import align, build_vcs, corner_anchors
 from routesim.harness import (
     ABC_A,
     ABC_B,
@@ -35,6 +35,8 @@ from routesim.routing import (
     planarize,
 )
 from routesim.topology import VoidSpec, build_udg, generate_random
+
+from coords_checks import check_edge_lipschitz
 
 # 20 connected seeds for the 400-node random deployments at radio range 1.85
 # (mean degree ~= 10); frozen so the suite never depends on connectivity luck.

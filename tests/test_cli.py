@@ -99,14 +99,14 @@ def test_sample_flag_reaches_every_command(cfg_file, capsys, monkeypatch, comman
     path = cfg_file(GRID_CFG.replace("gf-geo", "gf-vcs"))
     assert run_cli(["--config", path] + command) == 0
     plain = capsys.readouterr().out
-    build = Scenario.build
+    routing = Scenario.routing
     samples = []
 
     def spy(config):
         samples.append(config.sample)
-        return build(config)
+        return routing(config)
 
-    monkeypatch.setattr(Scenario, "build", staticmethod(spy))
+    monkeypatch.setattr(Scenario, "routing", staticmethod(spy))
     assert run_cli(["--config", path, "--sample", "37"] + command) == 0
     assert samples == [37]
     # none of these outputs reads the pair budget
@@ -121,7 +121,11 @@ def _refuse_oracle(*args):
     raise AssertionError("a pair oracle was built")
 
 
-@pytest.mark.parametrize("command", [["gen"], ["coords"], ["route", "0", "143"], ["map", "5"]])
+@pytest.mark.parametrize("command", [
+    [*sample, *command]
+    for sample in ([], ["--sample", "37"])
+    for command in (["gen"], ["coords"], ["route", "0", "143"], ["map", "5"])
+])
 def test_commands_that_do_not_evaluate_build_no_pair_oracle(cfg_file, capsys, monkeypatch, command):
     monkeypatch.setattr(harness, "hop_rows", _refuse_oracle)
     monkeypatch.setattr(harness, "pair_hops", _refuse_oracle)

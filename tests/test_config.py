@@ -96,6 +96,9 @@ def test_semantic_error_reported():
     ("deployment = grid\nrows = 5\nseed = -1\n", "config line 3: seed must be >= 0"),
     ("protocol = gf-vcs\ndims = 5\n", "config line 2: corner anchors support 3 or 4 dims"),
     ("seed = -1\nprotocol = nope\n", "config line 1: seed must be >= 0"),
+    ("protocol = gf-vcs\nanchors = 1,2\n", "config line 2: an anchor set needs at least 3 anchors"),
+    ("anchors = 5,5,6\nprotocol = gf-geo\n", "config line 1: anchor ids must be distinct"),
+    ("protocol = gf-vcs\nanchors = -1,2,3\n", "config line 2: anchor ids must be >= 0"),
 ])
 def test_semantic_error_names_the_line_of_its_key(text, message, tmp_path, capsys):
     with pytest.raises(ConfigError) as err:

@@ -12,7 +12,6 @@ from routesim.coords import (
     VirtualCoords,
     align,
     build_vcs,
-    check_edge_lipschitz,
     corner_anchors,
     format_coords,
     hop_counts,
@@ -24,6 +23,8 @@ from routesim.topology import (
     perturb_positions,
     topology_from_adjacency,
 )
+
+from coords_checks import check_edge_lipschitz
 
 
 def grid_topology(rows=20, cols=20):

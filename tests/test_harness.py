@@ -6,7 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import networkx as nx
@@ -28,7 +28,6 @@ from routesim.harness import (
     ScenarioError,
     distance_map,
     _ordered_sum,
-    _sampled_pairs,
     evaluate,
     evaluate_scenario,
     fixture_abc,
@@ -36,8 +35,9 @@ from routesim.harness import (
 )
 from routesim.routing import (PROTOCOL_SPECS, PROTOCOLS, CoordSource, Mode, Outcome,
                               RoutingContext, route)
-from routesim.coords import check_edge_lipschitz
 from routesim.topology import TopologyError, VoidSpec
+
+from coords_checks import check_edge_lipschitz
 
 
 def small_grid(protocol="gf-geo", **kw):
@@ -185,7 +185,7 @@ def test_fields_are_built_once_and_only_where_needed(monkeypatch, protocol):
     monkeypatch.setattr(RoutingContext, "dfield", recording)
     evaluate_scenario(sc)
     monkeypatch.undo()
-    srcs, dsts = (a[np.isfinite(sc.sampled_hops)].tolist() for a in _sampled_pairs(sc))
+    srcs, dsts = (a[np.isfinite(sc.pairs[2])].tolist() for a in sc.pairs[:2])
     dense = {dst for dst, k in Counter(dsts).items() if k * k >= LOCKSTEP_CROSSOVER * sc.topology.n}
     stalled = {dst for src, dst in zip(srcs, dsts)
                if route(protocol, src, dst, sc.ctx).outcome != Outcome.DELIVERED_GREEDY}
@@ -209,6 +209,30 @@ def test_build_and_evaluate_never_call_hop_matrix(monkeypatch, protocol):
     assert sc.ctx.ttl == math.ceil(cfg.ttl_factor * hop_diameter(sc.topology))
     if protocol != "gf-avcs":
         assert not math.isnan(row.stretch_complementary)
+
+
+@pytest.mark.parametrize("cfg", [
+    small_grid("gf-avcs", align_depth=1, loc_error=0.3, sample=300, seed=4),
+    small_grid("bvr", align_depth=1, loc_error=0.3, seed=4),
+], ids=["sampled", "all-pairs"])
+def test_evaluation_only_reads_the_built_scenario(cfg):
+    sc = Scenario.build(cfg)
+    before = {f.name: getattr(sc, f.name) for f in fields(sc)}
+    copies = [a.copy() for a in sc.pairs]
+    rows = [evaluate_scenario(sc) for _ in range(2)]
+    assert rows[0] == rows[1]
+    for name, value in before.items():
+        assert getattr(sc, name) is value, name
+    for a, copy in zip(sc.pairs, copies):
+        assert np.array_equal(a, copy)
+    # the routing scenario is the same scenario without its pairs
+    rs = Scenario.routing(cfg)
+    assert rs.pairs is None
+    assert rs.removed_nodes == sc.removed_nodes and rs.ctx.ttl == sc.ctx.ttl
+    for name in ("indptr", "indices", "positions"):
+        assert np.array_equal(getattr(rs.topology, name), getattr(sc.topology, name)), name
+    assert np.array_equal(rs.av.matrix, sc.av.matrix)
+    assert np.array_equal(rs.ctx.geo_positions, sc.ctx.geo_positions)
 
 
 def test_large_sampled_scenario_memory_is_bounded(monkeypatch):
@@ -445,7 +469,7 @@ def _per_pair_metrics(sc):
     pairs = excluded = greedy = delivered = episodes = 0
     sum_greedy = sum_all = sum_comp = 0.0
     failures = Counter()
-    for src, dst in zip(*(a.tolist() for a in _sampled_pairs(sc))):
+    for src, dst in zip(*(a.tolist() for a in sc.pairs[:2])):
         sp = hops[src, dst]
         if not np.isfinite(sp):
             excluded += 1
@@ -529,7 +553,7 @@ def test_stalling_examples_stall_pairs_in_both_kernels(case):
     # The gate of bulk recovery: the examples above must keep stalled pairs
     # in lockstep groups and in forest groups, by per-pair route.
     sc = Scenario.build(_random_config(**case))
-    srcs, dsts = (a[np.isfinite(sc.sampled_hops)].tolist() for a in _sampled_pairs(sc))
+    srcs, dsts = (a[np.isfinite(sc.pairs[2])].tolist() for a in sc.pairs[:2])
     sources = Counter(dsts)
     stalled = Counter(sources[dst] ** 2 < LOCKSTEP_CROSSOVER * sc.topology.n
                       for src, dst in zip(srcs, dsts)
