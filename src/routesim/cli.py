@@ -155,6 +155,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except (ConfigError, ScenarioError, CoordsError, TopologyError, OSError) as e:
         return _fail(str(e))
+    except MemoryError as e:  # numpy's MemoryError names the allocation that failed
+        return _fail(f"out of memory: {e}" if str(e) else "out of memory")
 
 
 if __name__ == "__main__":

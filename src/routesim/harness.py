@@ -408,12 +408,12 @@ def _engine(sc: Scenario, dst: int, dfield: np.ndarray):
     t = sc.topology
     ttl = sc.ctx.ttl
     if spec.recovery == Recovery.PERIMETER:
-        pg = sc.ctx.planar(spec.planar)
-        pos = sc.ctx.geo_positions
-        return lambda src: gpsr_route(src, dst, dfield, pos, pg, t, ttl)
+        faces = sc.ctx.faces(spec.planar)
+        return lambda src: gpsr_route(src, dst, dfield, faces, t, ttl)
     if spec.recovery == Recovery.BACKTRACK:
         return lambda src: lcr_route(src, dst, dfield, t, ttl)
-    return lambda src: bvr_route(src, dst, dfield, sc.vc, t, ttl)
+    trees = sc.ctx.beacons
+    return lambda src: bvr_route(src, dst, dfield, trees, t, ttl)
 
 
 def _episodes(rr):

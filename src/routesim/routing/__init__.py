@@ -18,9 +18,9 @@ import numpy as np
 from routesim import distance as dist_mod
 from routesim.coords import AlignedCoords, VirtualCoords
 from routesim.routing.greedy import greedy_next_hop, greedy_route, sp_route
-from routesim.routing.gpsr import gpsr_route
+from routesim.routing.gpsr import FaceTable, face_table, gpsr_route
 from routesim.routing.planar import METHOD_GG, METHOD_RNG, planarize, segments_properly_cross, count_crossings
-from routesim.routing.recovery import bvr_route, lcr_route
+from routesim.routing.recovery import BeaconTrees, beacon_trees, bvr_route, lcr_route
 from routesim.routing.result import Failure, Mode, Outcome, RouteResult, finish
 from routesim.topology import Topology, TopologyError
 
@@ -93,6 +93,7 @@ class RoutingContext:
     distance_kind: str = "euclid"
     semi_weight: float = dist_mod.DEFAULT_SEMI_WEIGHT
     _planar: dict[str, Topology] = field(default_factory=dict)
+    _faces: dict[str, FaceTable] = field(default_factory=dict)
 
     def planar(self, method: str) -> Topology:
         pg = self._planar.get(method)
@@ -100,6 +101,19 @@ class RoutingContext:
             pg = planarize(self.topology, self.geo_positions, method)
             self._planar[method] = pg
         return pg
+
+    def faces(self, method: str) -> FaceTable:
+        """Face table of the planar subgraph over the believed positions."""
+        table = self._faces.get(method)
+        if table is None:
+            table = face_table(self.geo_positions, self.planar(method))
+            self._faces[method] = table
+        return table
+
+    @cached_property
+    def beacons(self) -> BeaconTrees:
+        """Every anchor's hop-count tree, for beacon fallback."""
+        return beacon_trees(self.vc, self.topology)
 
     def field_inputs(self, protocol: str) -> tuple[np.ndarray, np.ndarray, dist_mod.FieldFn]:
         """(local coordinates, destination vectors, field function) of a protocol.
@@ -140,11 +154,11 @@ def route(protocol: str, src: int, dst: int, ctx: RoutingContext) -> RouteResult
         return sp_route(src, dst, t)
     dfield = ctx.dfield(protocol, dst)
     if spec.recovery == Recovery.PERIMETER:
-        return gpsr_route(src, dst, dfield, ctx.geo_positions, ctx.planar(spec.planar), t, ctx.ttl)
+        return gpsr_route(src, dst, dfield, ctx.faces(spec.planar), t, ctx.ttl)
     if spec.recovery == Recovery.BACKTRACK:
         return lcr_route(src, dst, dfield, t, ctx.ttl)
     if spec.recovery == Recovery.BEACON:
-        return bvr_route(src, dst, dfield, ctx.vc, t, ctx.ttl)
+        return bvr_route(src, dst, dfield, ctx.beacons, t, ctx.ttl)
     return greedy_route(src, dst, dfield, t, ctx.ttl)
 
 
@@ -169,8 +183,12 @@ __all__ = [
     "METHOD_RNG",
     "segments_properly_cross",
     "count_crossings",
+    "FaceTable",
+    "face_table",
     "gpsr_route",
     "lcr_route",
+    "BeaconTrees",
+    "beacon_trees",
     "bvr_route",
     "route",
 ]

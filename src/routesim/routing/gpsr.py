@@ -11,11 +11,20 @@ destination at a point closer to the destination than the current face's
 entry crossing.  Perimeter mode ends at the first node strictly closer to the
 destination than the entry point; repeating the first edge of the current
 face means the walk has gone all the way around, and the packet is dropped.
+
+The walk's geometry is a ``FaceTable``, built once per planar subgraph and
+set of believed positions: positions as Python floats and every planar
+edge's angle, computed with the same ``math.atan2`` arguments a per-hop
+computation would use.  An arriving edge's reference angle is read from the
+table; only the entry hop's reference, the direction to the destination, is
+computed per episode.  Each hop still sorts its few neighbors by angle after
+the reference, so the walk is the same float for float.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,55 +34,66 @@ from routesim.routing.result import Failure, Mode, RouteResult
 from routesim.topology import Topology
 
 
-def _ccw_order(u: int, nbrs: tuple[int, ...], ref_angle: float, pos: np.ndarray) -> list[int]:
-    """Planar neighbors sorted by counterclockwise angle strictly after ref.
+class FaceTable(NamedTuple):
+    """The face walk's geometry for one planar subgraph under one set of positions.
 
-    A neighbor exactly along the reference direction sorts last (full sweep),
-    which sends a dead-end walk back where it came from.  Ties break toward
-    the lower node id.
+    ``angles[u][i]`` is ``math.atan2`` of the edge from u to
+    ``adjacency[u][i]``, with the coordinate differences of that edge, so the
+    reference angle of an arriving edge is an entry of the table.
     """
-    two_pi = 2.0 * math.pi
-    keyed = []
-    for v in nbrs:
-        ang = math.atan2(pos[v, 1] - pos[u, 1], pos[v, 0] - pos[u, 0])
-        delta = (ang - ref_angle) % two_pi
-        if delta <= 0.0:
-            delta = two_pi
-        keyed.append((delta, v))
-    keyed.sort()
-    return [v for _, v in keyed]
+
+    pos: tuple[tuple[float, float], ...]        # believed positions as floats
+    adjacency: tuple[tuple[int, ...], ...]      # planar neighbors, ascending
+    angles: tuple[tuple[float, ...], ...]       # edge angles, aligned with adjacency
+
+
+def face_table(positions: np.ndarray, pg: Topology) -> FaceTable:
+    """The face walk's table of the planar subgraph ``pg`` over ``positions``."""
+    pos = tuple(map(tuple, np.asarray(positions, dtype=float).tolist()))
+    angles = tuple(
+        tuple(math.atan2(pos[v][1] - pos[u][1], pos[v][0] - pos[u][0]) for v in nbrs)
+        for u, nbrs in enumerate(pg.adjacency)
+    )
+    return FaceTable(pos, pg.adjacency, angles)
 
 
 def _perimeter_episode(
     u: int,
     dst: int,
-    pos: np.ndarray,
-    pg: Topology,
+    faces: FaceTable,
     dfield: np.ndarray,
     path: list[int],
     modes: list[str],
     ttl: int,
 ) -> tuple[int, str | None]:
     """Face walk from a local minimum; returns (resume node, failure or None)."""
+    pos, adjacency, angles = faces
+    two_pi = 2.0 * math.pi
     entry_d = dfield[u]
-    lp = (float(pos[u, 0]), float(pos[u, 1]))
-    pd = (float(pos[dst, 0]), float(pos[dst, 1]))
+    lp = pos[u]
+    pd = pos[dst]
     lf_d = math.hypot(lp[0] - pd[0], lp[1] - pd[1])  # distance of face-entry point to dst
+    ref = math.atan2(pd[1] - lp[1], pd[0] - lp[0])
     e0: tuple[int, int] | None = None
-    prev: int | None = None
     while True:
-        nbrs = pg.adjacency[u]
+        nbrs = adjacency[u]
         if not nbrs:
             return u, Failure.LOCAL_MINIMUM  # isolated in the planar subgraph
-        if prev is None:
-            ref = math.atan2(pd[1] - pos[u, 1], pd[0] - pos[u, 0])
-        else:
-            ref = math.atan2(pos[prev, 1] - pos[u, 1], pos[prev, 0] - pos[u, 0])
-        order = _ccw_order(u, nbrs, ref, pos)
+        # Counterclockwise order strictly after ref: a neighbor exactly along
+        # the reference direction sorts last (full sweep), which sends a
+        # dead-end walk back where it came from.  Ties go to the lower id.
+        order = []
+        for ang, v in zip(angles[u], nbrs):
+            delta = (ang - ref) % two_pi
+            if delta <= 0.0:
+                delta = two_pi
+            order.append((delta, v))
+        order.sort()
+        pu = pos[u]
         chosen = None
         face_changed = False
-        for w in order:
-            ip = crossing_point(pos[u], pos[w], lp, pd)
+        for _, w in order:
+            ip = crossing_point(pu, pos[w], lp, pd)
             if ip is not None:
                 ip_d = math.hypot(ip[0] - pd[0], ip[1] - pd[1])
                 if ip_d < lf_d:
@@ -85,7 +105,7 @@ def _perimeter_episode(
             chosen = w
             break
         if chosen is None:
-            chosen = order[-1]  # every edge crossed; retreat along the last one
+            chosen = order[-1][1]  # every edge crossed; retreat along the last one
             face_changed = True
         edge = (u, chosen)
         if face_changed or e0 is None:
@@ -96,7 +116,7 @@ def _perimeter_episode(
             return u, Failure.TTL_EXCEEDED
         path.append(chosen)
         modes.append(Mode.PERIMETER)
-        prev = u
+        ref = angles[chosen][adjacency[chosen].index(u)]  # the arriving edge, seen from chosen
         u = chosen
         if u == dst or dfield[u] < entry_d:
             return u, None
@@ -106,17 +126,16 @@ def gpsr_route(
     src: int,
     dst: int,
     dfield: np.ndarray,
-    pos: np.ndarray,
-    pg: Topology,
+    faces: FaceTable,
     t: Topology,
     ttl: int,
 ) -> RouteResult:
     """Greedy forwarding with perimeter-mode recovery on the planar subgraph.
 
-    ``dfield`` is the planar distance field of the believed positions ``pos``
-    toward dst.
+    ``faces`` is the face table of the planar subgraph and ``dfield`` the
+    planar distance field toward dst, both over the same believed positions.
     """
     return greedy_route(
         src, dst, dfield, t, ttl,
-        lambda u, path, modes: _perimeter_episode(u, dst, pos, pg, dfield, path, modes, ttl),
+        lambda u, path, modes: _perimeter_episode(u, dst, faces, dfield, path, modes, ttl),
     )

@@ -4,10 +4,14 @@ Both protocols are ``greedy_route`` plus one episode at a local minimum: the
 backtracking episode turns the rest of the route into an ordered depth-first
 search with a per-packet visited set; the beacon episode walks up the
 hop-count tree of the anchor the destination is closest to and, failing
-greedy resumption, delivers through a scoped flood from that anchor.
+greedy resumption, delivers through a scoped flood from that anchor.  The
+hop-count trees are a ``BeaconTrees`` table built once per scenario, so the
+climb and the flood's delivery path are index chases on it.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,23 +72,46 @@ def lcr_route(src: int, dst: int, dfield: np.ndarray, t: Topology, ttl: int) -> 
     )
 
 
-def _tree_parent(u: int, col: np.ndarray, t: Topology) -> int:
-    """Lowest-id neighbor one hop closer to the anchor of this hop-count column."""
-    target = col[u] - 1
-    for v in t.adjacency[u]:
-        if col[v] == target:
-            return v
-    raise RuntimeError("hop-count column is not a BFS layering")  # pragma: no cover
+class BeaconTrees(NamedTuple):
+    """Every anchor's hop-count tree and every node's nearest anchor."""
+
+    anchors: tuple[int, ...]                # anchor node ids, one per VCS dimension
+    parents: tuple[tuple[int, ...], ...]    # parents[k][u]: u's parent in anchor k's tree
+    nearest: tuple[int, ...]                # nearest[u]: the k minimizing V(u)_k, lowest on ties
 
 
-def _beacon_episode(u: int, dst: int, dfield: np.ndarray, col: np.ndarray, anchor: int,
-                    t: Topology, path: list[int], modes: list[str], ttl: int) -> tuple[int, str | None]:
+def beacon_trees(vc: VirtualCoords, t: Topology) -> BeaconTrees:
+    """The parent tables of every anchor's tree, read off the VCS columns.
+
+    A node's parent is its lowest-id neighbor one hop closer to the anchor;
+    the anchor is its own parent.  Any other node without such a neighbor
+    means the column is not a breadth-first layering of the topology.
+    """
+    ids = t.neighbor_matrix()     # ascending neighbors, padded with the row's own id
+    rows = np.arange(t.n)
+    parents = []
+    for k, anchor in enumerate(vc.anchors.ids):
+        col = vc.matrix[:, k]
+        closer = col[ids] == (col - 1)[:, None]   # a pad is never one hop closer
+        parent = ids[rows, np.argmax(closer, axis=1)]
+        orphan = ~closer.any(axis=1)
+        orphan[anchor] = False
+        if orphan.any():
+            raise RuntimeError("hop-count column is not a BFS layering")
+        parent[anchor] = anchor
+        parents.append(tuple(parent.tolist()))
+    nearest = np.argmin(vc.matrix, axis=1)  # ties to the lowest anchor index
+    return BeaconTrees(vc.anchors.ids, tuple(parents), tuple(nearest.tolist()))
+
+
+def _beacon_episode(u: int, dst: int, dfield: np.ndarray, parent: tuple[int, ...], anchor: int,
+                    path: list[int], modes: list[str], ttl: int) -> tuple[int, str | None]:
     """Climb toward the anchor, then flood; returns (resume node, failure or None)."""
     entry_d = dfield[u]
     while u != anchor:
         if len(modes) >= ttl:
             return u, Failure.TTL_EXCEEDED
-        u = _tree_parent(u, col, t)
+        u = parent[u]
         path.append(u)
         modes.append(Mode.FALLBACK)
         if u == dst or dfield[u] < entry_d:
@@ -92,7 +119,7 @@ def _beacon_episode(u: int, dst: int, dfield: np.ndarray, col: np.ndarray, ancho
     # Scoped flood: deliver along the anchor->dst tree path.
     chain = [dst]
     while chain[-1] != anchor:
-        chain.append(_tree_parent(chain[-1], col, t))
+        chain.append(parent[chain[-1]])
     for node in reversed(chain[:-1]):
         if len(modes) >= ttl:
             return path[-1], Failure.TTL_EXCEEDED
@@ -105,7 +132,7 @@ def bvr_route(
     src: int,
     dst: int,
     dfield: np.ndarray,
-    vc: VirtualCoords,
+    trees: BeaconTrees,
     t: Topology,
     ttl: int,
 ) -> RouteResult:
@@ -116,12 +143,13 @@ def bvr_route(
     destination than where the fallback began, greedy resumes.  Reaching the
     anchor triggers a scoped flood of radius V(dst)_k, which always covers
     the destination; its cost is charged as the anchor-to-destination
-    shortest path, the path the delivered copy takes.
+    shortest path, the path the delivered copy takes.  ``trees`` is the
+    scenario's ``beacon_trees``.
     """
-    k = int(np.argmin(vc.matrix[dst]))  # ties to the lowest anchor index
-    anchor = vc.anchors.ids[k]
-    col = vc.matrix[:, k]
+    k = trees.nearest[dst]
+    anchor = trees.anchors[k]
+    parent = trees.parents[k]
     return greedy_route(
         src, dst, dfield, t, ttl,
-        lambda u, path, modes: _beacon_episode(u, dst, dfield, col, anchor, t, path, modes, ttl),
+        lambda u, path, modes: _beacon_episode(u, dst, dfield, parent, anchor, path, modes, ttl),
     )

@@ -200,6 +200,22 @@ def test_bad_deployment_width_exits_2(cfg_file, capsys, width):
     assert captured.err == "error: deployment width and height must be finite and positive\n"
 
 
+@pytest.mark.parametrize("error, message", [
+    (MemoryError(), "error: out of memory\n"),
+    (MemoryError("Unable to allocate 1.54 GiB"), "error: out of memory: Unable to allocate 1.54 GiB\n"),
+])
+def test_out_of_memory_exits_2_with_one_line(cfg_file, capsys, monkeypatch, error, message):
+    # Drawing a huge sample can exhaust the address space inside Scenario.build.
+    def exhausted(config):
+        raise error
+
+    monkeypatch.setattr(Scenario, "build", staticmethod(exhausted))
+    assert run_cli(["--config", cfg_file(GRID_CFG), "eval"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 @pytest.mark.parametrize("axis, value", [("seed", "1.5"), ("radio_range", "abc"), ("align_depth", "x")])
 def test_sweep_malformed_value_exits_2(cfg_file, capsys, axis, value):
     path = cfg_file(GRID_CFG)

@@ -9,6 +9,7 @@ from routesim.routing import (
     Failure,
     Mode,
     Outcome,
+    face_table,
     gpsr_route,
     planarize,
     sp_route,
@@ -37,10 +38,16 @@ def u_shape_topology():
     return build_udg(d, 1.2), 0, 11
 
 
+def _gpsr(src, dst, t, pg, ttl):
+    """gpsr_route on the topology's own positions, walking faces of ``pg``."""
+    pos = t.positions
+    return gpsr_route(src, dst, euclidean_field(pos, pos[dst]), face_table(pos, pg), t, ttl)
+
+
 def test_gpsr_self_route():
     t, src, dst = u_shape_topology()
     pg = planarize(t, t.positions, METHOD_GG)
-    rr = gpsr_route(src, src, euclidean_field(t.positions, t.positions[src]), t.positions, pg, t, 100)
+    rr = _gpsr(src, src, t, pg, 100)
     assert rr.outcome == Outcome.DELIVERED_GREEDY and rr.hops == 0
 
 
@@ -53,16 +60,53 @@ def test_gpsr_local_minimum_without_planar_neighbor_outranks_spent_ttl():
     t = topology_from_adjacency(pos, [[1, 3], [], [3], []])
     pg = topology_from_adjacency(pos, [[3], [], [3], []])
     for ttl in (1, 100):
-        rr = gpsr_route(0, 2, euclidean_field(t.positions, t.positions[2]), t.positions, pg, t, ttl)
+        rr = _gpsr(0, 2, t, pg, ttl)
         assert rr.path == (0, 1)
         assert rr.failure_cause == Failure.LOCAL_MINIMUM
+
+
+def test_gpsr_source_without_planar_neighbor_is_a_local_minimum():
+    # The source's one topology neighbor is farther from dst and the planar
+    # subgraph has no edge at the source: there is no face to walk, whatever
+    # the TTL, including none at all.
+    pos = np.array([[1.0, 0.0], [0.0, 0.0], [3.0, 0.0]])
+    t = topology_from_adjacency(pos, [[1], [], []])
+    pg = topology_from_adjacency(pos, [[], [], []])
+    for ttl in (0, 1, 100):
+        rr = _gpsr(0, 2, t, pg, ttl)
+        assert rr.path == (0,)
+        assert rr.failure_cause == Failure.LOCAL_MINIMUM
+
+
+def test_gpsr_neighbor_on_the_reference_ray_sorts_last():
+    # 0 is a local minimum toward dst 3.  Counterclockwise from the line to
+    # dst, the walk first meets the dead end 1, whose only edge lies exactly
+    # on its reference ray (the arrival edge), so it turns back.  Back at 0,
+    # edge 0-1 lies exactly on the reference ray and sorts after 0-2; sorting
+    # it first would repeat the face's first edge and drop the packet.
+    pos = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 0.0], [3.0, 1.0], [2.0, 0.0]])
+    t = topology_from_adjacency(pos, [[1, 2], [0], [0, 4], [4], [2, 3]])
+    rr = _gpsr(0, 3, t, t, 100)
+    assert rr.path == (0, 1, 0, 2, 4, 3)
+    assert rr.modes == (Mode.PERIMETER,) * 4 + (Mode.GREEDY,)
+
+
+def test_gpsr_neighbors_at_equal_angles_go_to_the_lower_id():
+    # 1 and 2 lie in the same direction from the local minimum 0; the walk
+    # takes the lower id, 1, though 2 is nearer to both 0 and dst 4.  Back
+    # at 0, both lie on the reference ray and sort after 0-3.
+    pos = np.array([[0.0, 1.0], [0.0, 3.0], [0.0, 2.0], [0.0, 0.0], [3.0, 1.0], [2.0, 0.0]])
+    t = topology_from_adjacency(pos, [[1, 2, 3], [0], [0], [0, 5], [5], [3, 4]])
+    rr = _gpsr(0, 4, t, t, 100)
+    assert rr.path == (0, 1, 0, 3, 5, 4)
+    assert rr.modes == (Mode.PERIMETER,) * 4 + (Mode.GREEDY,)
 
 
 def test_gpsr_recovers_from_cul_de_sac():
     t, src, dst = u_shape_topology()
     assert t.n == 12
     pg = planarize(t, t.positions, METHOD_GG)
-    rr = gpsr_route(src, dst, euclidean_field(t.positions, t.positions[dst]), t.positions, pg, t, 100)
+    rr = _gpsr(src, dst, t, pg, 100)
     assert rr.outcome == Outcome.DELIVERED_MIXED
     assert rr.path[-1] == dst
     assert sum(m == Mode.PERIMETER for m in rr.modes) >= 1
@@ -108,7 +152,7 @@ def test_gpsr_random_instances_deliver_when_connected():
 def test_gpsr_mode_attribution():
     t, src, dst = u_shape_topology()
     pg = planarize(t, t.positions, METHOD_GG)
-    rr = gpsr_route(src, dst, euclidean_field(t.positions, t.positions[dst]), t.positions, pg, t, 100)
+    rr = _gpsr(src, dst, t, pg, 100)
     counts = Counter(rr.modes)
     assert set(counts) <= {Mode.GREEDY, Mode.PERIMETER}
     assert (rr.outcome == Outcome.DELIVERED_GREEDY) == (counts.get(Mode.PERIMETER, 0) == 0)

@@ -6,6 +6,7 @@ from routesim.routing import (
     Failure,
     Mode,
     Outcome,
+    beacon_trees,
     bvr_route,
     lcr_route,
     sp_route,
@@ -67,7 +68,7 @@ def test_lcr_path_hops_are_edges():
 
 def test_bvr_self_route():
     t, vc = fixture_abc()
-    rr = bvr_route(ABC_A, ABC_A, abc_field(vc, ABC_A), vc, t, 100)
+    rr = bvr_route(ABC_A, ABC_A, abc_field(vc, ABC_A), beacon_trees(vc, t), t, 100)
     assert rr.outcome == Outcome.DELIVERED_GREEDY and rr.hops == 0
 
 
@@ -82,7 +83,7 @@ def test_bvr_mixed_delivery_uses_fallback_or_flood():
         src, dst = (int(x) for x in rng.integers(0, t.n, 2))
         if src == dst:
             continue
-        rr = bvr_route(src, dst, sc.ctx.dfield("bvr", dst), sc.vc, t, sc.ctx.ttl)
+        rr = bvr_route(src, dst, sc.ctx.dfield("bvr", dst), sc.ctx.beacons, t, sc.ctx.ttl)
         if rr.outcome == Outcome.DELIVERED_MIXED:
             mixed += 1
             assert Mode.FALLBACK in rr.modes or Mode.FLOOD in rr.modes
@@ -96,7 +97,7 @@ def test_bvr_mixed_delivery_uses_fallback_or_flood():
 def test_bvr_counterexample_pair_delivered():
     t, vc = fixture_abc()
     dfield = dm.semi_manhattan_field(vc.matrix.astype(float), vc.matrix[ABC_A].astype(float), 10.0)
-    rr = bvr_route(ABC_C, ABC_A, dfield, vc, t, 10 * t.n)
+    rr = bvr_route(ABC_C, ABC_A, dfield, beacon_trees(vc, t), t, 10 * t.n)
     assert rr.delivered
 
 
@@ -109,7 +110,7 @@ def test_bvr_flood_charges_anchor_to_dst_shortest_path():
     dfield = np.ones(t.n)
     dfield[dst] = 0.0
     src = ABC_C
-    rr = bvr_route(src, dst, dfield, vc, t, 10 * t.n)
+    rr = bvr_route(src, dst, dfield, beacon_trees(vc, t), t, 10 * t.n)
     assert rr.delivered
     flood_hops = sum(m == Mode.FLOOD for m in rr.modes)
     assert flood_hops == sp_route(anchor, dst, t).hops == vc.matrix[dst][k]
@@ -127,7 +128,7 @@ def test_bvr_greedy_resumption_prefix():
         for src in range(0, t.n, 7):
             if src == dst:
                 continue
-            rr = bvr_route(src, dst, dfield, sc.vc, t, sc.ctx.ttl)
+            rr = bvr_route(src, dst, dfield, sc.ctx.beacons, t, sc.ctx.ttl)
             if rr.outcome == Outcome.DELIVERED_GREEDY:
                 delivered_greedy += 1
                 assert all(m == Mode.GREEDY for m in rr.modes)
