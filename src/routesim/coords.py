@@ -91,14 +91,17 @@ def pair_hops(t: Topology, srcs, dsts) -> np.ndarray:
     """Hop distance of every (srcs[i], dsts[i]) pair; inf across components.
 
     Bit-parallel breadth-first search, one bit per root (the bit-parallel
-    labels of Akiba, Iwata & Yoshida, SIGMOD 2013).  The distinct ``dsts`` are
-    the roots, ``_ROOT_CHUNK`` per pass; frontier and visited sets are
-    (n, words) uint64 bitsets over the degree-ordered node ids of
-    ``t.degree_order``, and every level ORs the frontier rows in through
-    that view's neighbor columns.  Distances are kept bit-sliced: plane b
-    holds bit b of the level at which a root's search first reached a node.
-    Only the requested (src, root) bits are read back, through each source's
-    rank.
+    labels of Akiba, Iwata & Yoshida, SIGMOD 2013).  Hop distance is
+    symmetric, so the roots need only cover the pairs: ``_pair_cover``'s
+    vertex cover of the pair graph, or the distinct ``dsts`` when those are
+    no more.  Each pair is read from an endpoint that is a root, its
+    destination when that is one.  The roots are searched ``_ROOT_CHUNK``
+    per pass; frontier and visited sets are (n, words) uint64 bitsets over
+    the degree-ordered node ids of ``t.degree_order``, and every level ORs
+    the frontier rows in through that view's neighbor columns.  Distances
+    are kept bit-sliced: plane b holds bit b of the level at which a root's
+    search first reached a node.  Only the requested (node, root) bits are
+    read back, through the other endpoint's rank.
     """
     srcs = _node_ids(t, srcs)
     dsts = _node_ids(t, dsts)
@@ -106,16 +109,23 @@ def pair_hops(t: Topology, srcs, dsts) -> np.ndarray:
     if len(srcs) == 0:
         return out
     rank = t.degree_order.rank
-    roots = np.flatnonzero(np.bincount(dsts, minlength=t.n))
+    is_root = _pair_cover(t.n, srcs, dsts)
+    is_dst = np.zeros(t.n, dtype=bool)
+    is_dst[dsts] = True
+    if np.count_nonzero(is_root) >= np.count_nonzero(is_dst):
+        is_root = is_dst
+    roots = np.flatnonzero(is_root)
+    root = np.where(is_root[dsts], dsts, srcs)
+    node = srcs + dsts - root
     slot = np.zeros(t.n, dtype=np.int64)
     slot[roots] = np.arange(len(roots))
     for lo in range(0, len(roots), _ROOT_CHUNK):
         chunk = roots[lo:lo + _ROOT_CHUNK]
-        mine = np.flatnonzero((dsts >= chunk[0]) & (dsts <= chunk[-1]))
-        col = slot[dsts[mine]] - lo
+        mine = np.flatnonzero((root >= chunk[0]) & (root <= chunk[-1]))
+        col = slot[root[mine]] - lo
         visited, planes = _bit_bfs(t, chunk)
         # Flat position of each pair's word in the (n, words) bitsets.
-        at = rank[srcs[mine]] * visited.shape[1] + (col >> 6)
+        at = rank[node[mine]] * visited.shape[1] + (col >> 6)
         bit = (col & 63).astype(np.uint64)
         hops = np.zeros(len(mine), dtype=np.uint64)
         for b, plane in enumerate(planes):
@@ -123,6 +133,35 @@ def pair_hops(t: Topology, srcs, dsts) -> np.ndarray:
         reached = ((visited.take(at) >> bit) & 1).astype(bool)
         out[mine] = np.where(reached, hops, np.inf)
     return out
+
+
+def _pair_cover(n: int, srcs: np.ndarray, dsts: np.ndarray) -> np.ndarray:
+    """(n,) bool mask of a vertex cover of the pairs: every pair has an
+    endpoint in it, so a self pair's node is in it.
+
+    The cover is every pair endpoint outside an independent set of the pair
+    graph, built in rounds.  An undecided endpoint joins the set when its
+    key, (pairs left at it, id), is below the key of every undecided
+    endpoint it shares a pair with; those join the cover.  Each round counts
+    only the pairs whose endpoints are both undecided, repeats included.
+    """
+    u, v = srcs, dsts
+    cover = np.zeros(n, dtype=bool)
+    cover[u[u == v]] = True
+    undecided = np.zeros(n, dtype=bool)
+    undecided[u] = undecided[v] = True
+    undecided &= ~cover
+    ids = np.arange(n)
+    while undecided.any():
+        left = undecided[u] & undecided[v]
+        u, v = u[left], v[left]
+        key = (np.bincount(u, minlength=n) + np.bincount(v, minlength=n)) * n + ids
+        # Of each pair left, the endpoint of larger key does not join.
+        joins = undecided.copy()
+        joins[np.where(key[u] > key[v], u, v)] = False
+        cover[u[joins[v]]] = cover[v[joins[u]]] = True
+        undecided &= ~(joins | cover)
+    return cover
 
 
 def _bit_bfs(t: Topology, roots: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -210,49 +249,73 @@ def hop_counts(t: Topology, anchor: int) -> np.ndarray:
     return hop_rows(t, [anchor])[0].astype(np.int64)
 
 
-# Roots per pass of hop_diameter: one uint64 word per node.
+# Roots per pass of hop_diameter and seed_rows: one uint64 word per node.
 _WIDE = 64
 
 
-def hop_diameter(t: Topology) -> int:
+def seed_rows(t: Topology, anchors=()) -> np.ndarray:
+    """``hop_rows`` of the ``anchors``, in order, then of evenly spaced ids
+    filling the rest of one 64-root word: one pass whose rows give both the
+    anchors' coordinates (``build_vcs``) and the first bounds of
+    ``hop_diameter``.  With no anchors that is 64 evenly spaced ids.
+    """
+    fill = max(_WIDE - len(anchors), 0)
+    spread = np.unique(np.arange(fill) * t.n // max(fill, 1))[:t.n]  # none when n = 0
+    return hop_rows(t, np.concatenate([np.asarray(anchors, dtype=np.int64), spread]))
+
+
+def hop_diameter(t: Topology, rows=None) -> int:
     """Largest finite hop distance, i.e. the largest component diameter, exactly.
 
     Bounding diameters (Takes & Kosters, CIKM 2011).  A search from v gives
     its eccentricity e and bounds every node w it reaches:
     max(d, e - d) <= ecc(w) <= e + d with d = d(v, w).  A node stays a
     candidate while its upper bound exceeds the largest eccentricity found.
-    Component sizes give the first upper bounds.  Each pass searches from up
-    to 64 roots at once, one uint64 word per node: the first from 64 evenly
-    spaced ids, each later one from the 32 candidates with the smallest lower
-    bound and the 32 with the largest upper bound (ties to higher degree,
-    then lower id).
+    Component sizes give the first upper bounds.  ``rows`` are hop rows
+    already searched from any roots, as ``hop_rows`` returns them (-1 where
+    unreached); they are the first pass, ``seed_rows(t)`` when not given.
+    Each later pass searches from up to 64 roots at once, one uint64 word
+    per node: the 32 candidates with the smallest lower bound and the 32
+    with the largest upper bound (ties to higher degree, then lower id).
     """
     n = t.n
     label = t.component_labels()
-    upper = np.bincount(label)[label] - 1
-    lower = np.zeros(n, dtype=np.int64)
+    # int32, as hop_rows' rows are.
+    upper = (np.bincount(label) - 1).astype(np.int32)[label]
+    lower = np.zeros(n, dtype=np.int32)
+    bound = np.empty(n, dtype=np.int32)
+    reached = np.empty(n, dtype=bool)
     degree = np.diff(t.indptr)
     best = 0
-    roots = np.unique(np.arange(_WIDE) * n // _WIDE)[:n]  # no root when n = 0
-    while len(roots):
-        for row in hop_rows(t, roots):
-            reach = np.flatnonzero(row >= 0)
-            d = row[reach]
-            ecc = int(d.max())
+    if rows is None:
+        rows = seed_rows(t)
+    while True:
+        # Whole rows, in place; an unreached entry (-1) bounds nothing.
+        for row in np.ascontiguousarray(rows, dtype=np.int32):
+            np.greater_equal(row, 0, out=reached)
+            ecc = int(row.max())
             best = max(best, ecc)
-            lower[reach] = np.maximum(lower[reach], np.maximum(d, ecc - d))
-            upper[reach] = np.minimum(upper[reach], ecc + d)
+            np.subtract(ecc, row, out=bound)
+            np.maximum(bound, row, out=bound)
+            np.maximum(lower, bound, out=lower, where=reached)
+            np.add(row, ecc, out=bound)
+            np.minimum(upper, bound, out=upper, where=reached)
         candidate = np.flatnonzero(upper > best)
+        if not len(candidate):
+            return best
         # lexsort's last key is the primary one; ids break the last ties.
         central = np.lexsort((candidate, -degree[candidate], lower[candidate]))
         peripheral = np.lexsort((candidate, -degree[candidate], -upper[candidate]))
-        roots = np.union1d(candidate[central[:_WIDE // 2]], candidate[peripheral[:_WIDE // 2]])
-    return best
+        rows = hop_rows(t, np.union1d(candidate[central[:_WIDE // 2]], candidate[peripheral[:_WIDE // 2]]))
 
 
-def build_vcs(t: Topology, anchors: AnchorSet) -> VirtualCoords:
-    """Per-node hop counts to every anchor, from one breadth-first pass."""
-    h = hop_rows(t, anchors.ids)
+def build_vcs(t: Topology, anchors: AnchorSet, rows=None) -> VirtualCoords:
+    """Per-node hop counts to every anchor.
+
+    ``rows`` starts with the anchors' hop rows, in order, as ``seed_rows``
+    returns them; without it the anchors are searched here, in one pass.
+    """
+    h = (hop_rows(t, anchors.ids) if rows is None else rows)[:anchors.dims]
     for a, row in zip(anchors.ids, h):
         if (row < 0).any():
             bad = int(np.argmax(row < 0))

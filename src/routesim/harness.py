@@ -32,6 +32,7 @@ from routesim.coords import (
     hop_diameter,
     hop_rows,
     pair_hops,
+    seed_rows,
 )
 from routesim.routing import (
     PROTOCOL_SPECS,
@@ -189,7 +190,7 @@ class Scenario:
     @classmethod
     def routing(cls, config: ScenarioConfig) -> "Scenario":
         """Topology, coordinates, TTL and routing context, without the pairs."""
-        removed = 0
+        removed, anchors = 0, None
         if config.deployment == "abc-fixture":
             t, vc = fixture_abc()
         else:
@@ -207,12 +208,15 @@ class Scenario:
                     anchors = AnchorSet(config.anchors)
                 else:
                     anchors = corner_anchors(t, config.dims)
-                vc = build_vcs(t, anchors)
+        # One search gives the anchors' coordinates and the diameter's first bounds.
+        rows = seed_rows(t, () if anchors is None else anchors.ids)
+        if anchors is not None:
+            vc = build_vcs(t, anchors, rows)
         av = None if vc is None else align(vc, t, config.align_depth, config.align_rule)
         ctx = RoutingContext(
             topology=t,
             geo_positions=perturb_positions(t, config.loc_error, config.seed + _PERTURB_SALT),
-            ttl=max(1, math.ceil(config.ttl_factor * hop_diameter(t))),
+            ttl=max(1, math.ceil(config.ttl_factor * hop_diameter(t, rows))),
             vc=vc,
             av=av,
             distance_kind=config.distance if config.distance != "geo" else "euclid",

@@ -15,6 +15,7 @@ from routesim.coords import (
     corner_anchors,
     format_coords,
     hop_counts,
+    seed_rows,
 )
 from routesim.topology import (
     build_udg,
@@ -69,8 +70,11 @@ def test_build_vcs_rejects_disconnected():
         np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0], [6.0, 0.0], [7.0, 0.0]]),
         [[1], [], [3], [4], []],
     )
-    with pytest.raises(CoordsError):
-        build_vcs(t, AnchorSet((0, 2, 3)))
+    # The same check whether build_vcs searches the anchors or reads them
+    # from the first rows of seed_rows.
+    for rows in (None, seed_rows(t, (0, 2, 3))):
+        with pytest.raises(CoordsError, match="^node 2 unreachable from anchor 0; scenario invalid for VCS$"):
+            build_vcs(t, AnchorSet((0, 2, 3)), rows)
 
 
 def test_corner_anchors_on_grid():

@@ -1,14 +1,20 @@
-"""The bit-parallel hop oracle, its row reader and the exact diameter, against networkx."""
+"""The bit-parallel hop oracle, its row reader and the exact diameter, against networkx
+(and scipy's breadth-first search where a graph is too large for networkx)."""
 
+import math
 from types import SimpleNamespace
 
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
-from routesim import coords
-from routesim.coords import AnchorSet, CoordsError, build_vcs, hop_counts, hop_diameter, hop_rows, pair_hops
+from routesim import coords, harness
+from routesim.coords import (
+    AnchorSet, CoordsError, build_vcs, corner_anchors, hop_counts, hop_diameter, hop_rows, pair_hops, seed_rows,
+)
 from routesim.topology import Topology, build_udg, generate_grid, generate_random, topology_from_adjacency
 
 LONG_PATH = 300  # hops: more than eight bit planes of level counts
@@ -40,6 +46,13 @@ def _expected_rows(g, roots):
         hops = nx.single_source_shortest_path_length(g, r)
         out[i, list(hops)] = list(hops.values())
     return out
+
+
+def _scipy_rows(t, roots):
+    """_expected_rows from scipy's breadth-first search, for graphs too large for networkx."""
+    adjacency = csr_matrix((np.ones(len(t.indices)), t.indices, t.indptr), shape=(t.n, t.n))
+    hops = shortest_path(adjacency, unweighted=True, indices=list(roots))
+    return np.where(np.isfinite(hops), hops, -1).astype(np.int32)
 
 
 def _diameter(g):
@@ -89,30 +102,65 @@ def test_pair_hops_matches_networkx(t, data):
 
 
 @settings(max_examples=120, deadline=None)
-@given(t=topologies())
-def test_hop_diameter_matches_networkx_per_component(t):
-    assert hop_diameter(t) == _diameter(_graph(t))
+@given(t=topologies(), data=st.data())
+def test_pair_hops_roots_cover_the_pairs(t, data):
+    # Self pairs, repeated and reversed pairs, and pairs across components:
+    # every pair has an endpoint among the searched roots, which are never
+    # more than the distinct destinations.
+    node = st.integers(0, t.n - 1)
+    pairs = data.draw(st.lists(st.tuples(node, node), min_size=1, max_size=200))
+    pairs += [(v, v) for v in data.draw(st.lists(node, max_size=10))]
+    pairs += [(d, s) for s, d in data.draw(st.lists(st.sampled_from(pairs), max_size=40))]
+    pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=40))
+    srcs, dsts = (np.array(e) for e in zip(*pairs))
+    with pytest.MonkeyPatch.context() as mp:
+        passes = _record_passes(mp)
+        hops = pair_hops(t, srcs, dsts)
+    roots = np.concatenate(passes)
+    assert len(np.unique(roots)) == len(roots) <= len(np.unique(dsts))
+    assert (np.isin(srcs, roots) | np.isin(dsts, roots)).all()
+    assert np.array_equal(hops, _expected(_graph(t), srcs.tolist(), dsts.tolist()))
 
 
-def test_pair_hops_over_several_root_passes():
-    # Two full passes of pair_hops roots and a partial third, which hop_rows
-    # reads in one pass; the deployment (mean degree about 5.5) leaves
-    # isolated nodes and several components.
-    roots = 2 * coords._ROOT_CHUNK + coords._ROOT_CHUNK // 3
-    n = roots + roots // 4
+@settings(max_examples=120, deadline=None)
+@given(t=topologies(), data=st.data())
+def test_hop_diameter_matches_networkx_per_component(t, data):
+    # Without seed rows, and with seed rows from any roots: repeated or none,
+    # more than one word of them, or all from one component of a graph that
+    # often has several.
+    g = _graph(t)
+    pool = list(range(t.n))
+    if data.draw(st.booleans()):
+        pool = sorted(nx.node_connected_component(g, data.draw(st.sampled_from(pool))))
+    roots = data.draw(st.lists(st.sampled_from(pool), max_size=70))
+    assert hop_diameter(t) == hop_diameter(t, _expected_rows(g, roots)) == _diameter(g)
+
+
+def test_pair_hops_over_several_root_passes(monkeypatch):
+    # Every ordered pair of two nodes of one group, over disjoint groups of
+    # five: a vertex cover keeps at least four nodes of each group (and
+    # _pair_cover exactly four), so the roots take two full passes of
+    # pair_hops and a partial third, which hop_rows reads in one pass.  The
+    # deployment (mean degree about 5.5) leaves isolated nodes and several
+    # components.
+    groups = (2 * coords._ROOT_CHUNK + coords._ROOT_CHUNK // 3) // 4
+    n = 5 * groups + groups // 4
     side = 20.0 * (n / 700) ** 0.5
     t = build_udg(generate_random(n, side, side, 4), 1.0)
-    g = _graph(t)
-    assert nx.number_connected_components(g) > 1 and any(len(a) == 0 for a in t.adjacency)
+    assert nx.number_connected_components(_graph(t)) > 1 and any(len(a) == 0 for a in t.adjacency)
     rng = np.random.default_rng(0)
-    srcs = rng.integers(0, t.n, 2 * n)
-    dsts = np.concatenate([np.arange(roots), rng.integers(0, roots, 2 * n - roots)])
-    assert len(np.unique(dsts)) == roots
-    want = _expected_rows(g, range(roots))
+    member = np.arange(5 * groups).reshape(groups, 5)
+    srcs, dsts = np.repeat(member, 5, axis=1).ravel(), np.tile(member, 5).ravel()
+    order = rng.permutation(np.flatnonzero(srcs != dsts))
+    srcs, dsts = srcs[order], dsts[order]
+    want = _scipy_rows(t, range(n))
+    passes = _record_passes(monkeypatch)
     assert np.array_equal(pair_hops(t, srcs, dsts), np.where(want >= 0, want, np.inf)[dsts, srcs])
-    shuffled = rng.permutation(roots)
-    assert np.array_equal(hop_rows(t, shuffled), want[shuffled])
-    assert hop_diameter(t) == _diameter(g)
+    assert [len(p) for p in passes] == [coords._ROOT_CHUNK] * 2 + [4 * groups - 2 * coords._ROOT_CHUNK]
+    passes.clear()
+    shuffled = rng.permutation(4 * groups)
+    assert np.array_equal(hop_rows(t, shuffled), want[shuffled]) and len(passes) == 1
+    assert hop_diameter(t) == want.max()
 
 
 def test_hop_rows_reads_every_root_in_one_pass(monkeypatch):
@@ -144,17 +192,25 @@ def _record_passes(monkeypatch):
 
 
 def test_hop_diameter_passes(monkeypatch):
-    # The 64 evenly spaced first roots settle the dense grid at once.
+    # With no seed rows, 64 evenly spaced first roots; with the corner
+    # anchors, the anchors and 60 evenly spaced ids.  Either first pass
+    # settles the dense grid at once.
     passes = _record_passes(monkeypatch)
-    assert hop_diameter(build_udg(generate_grid(50, 50, 1.0), 2.5)) == 33
+    t = build_udg(generate_grid(50, 50, 1.0), 2.5)
+    assert hop_diameter(t) == 33
     assert len(passes) == 1 and np.array_equal(passes[0], np.arange(64) * 2500 // 64)
-    # Sparse-large's deployment takes a second pass: the 32 candidates of
-    # smallest lower bound and the 32 of largest upper bound, rebuilt here
+    passes.clear()
+    anchors = corner_anchors(t, 4).ids
+    assert anchors == (0, 49, 2450, 2499)
+    assert hop_diameter(t, seed_rows(t, anchors)) == 33
+    assert len(passes) == 1 and passes[0].tolist() == [*anchors, *(np.arange(60) * 2500 // 60)]
+    # Sparse-large's seed-1 deployment takes a second pass: the 32 candidates
+    # of smallest lower bound and the 32 of largest upper bound, rebuilt here
     # from the first pass's rows (ties to higher degree, then lower id).
     passes.clear()
     t = build_udg(generate_random(5000, 70.0, 70.0, 1), 1.85)
-    assert hop_diameter(t) == 70
-    assert len(passes) == 2
+    assert hop_diameter(t, seed_rows(t, corner_anchors(t, 4).ids)) == 70
+    assert [len(p) for p in passes] == [64, 1]
     rows = hop_rows(t, passes[0])
     assert (rows >= 0).all()
     ecc = rows.max(axis=1)
@@ -165,6 +221,20 @@ def test_hop_diameter_passes(monkeypatch):
     central = sorted(candidates, key=lambda v: (lower[v], -degree[v], v))[:32]
     peripheral = sorted(candidates, key=lambda v: (-upper[v], -degree[v], v))[:32]
     assert passes[1].tolist() == sorted(set(central) | set(peripheral))
+
+
+@pytest.mark.parametrize("protocol", ["gf-geo", "gf-avcs"])
+def test_scenario_searches_anchors_and_diameter_in_one_pass(monkeypatch, protocol):
+    # Scenario.routing's only search on a dense grid is the shared first
+    # pass: build_vcs reads the anchors' rows from it, hop_diameter all of it.
+    passes = _record_passes(monkeypatch)
+    cfg = harness.ScenarioConfig(deployment="grid", rows=50, cols=50, radio_range=2.5,
+                                 protocol=protocol, align_depth=1)
+    sc = harness.Scenario.routing(cfg)
+    assert sc.ctx.ttl == math.ceil(cfg.ttl_factor * 33) and len(passes) == 1
+    if sc.vc is not None:
+        assert passes[0][:4].tolist() == list(sc.vc.anchors.ids)
+        assert np.array_equal(sc.vc.matrix, build_vcs(sc.topology, sc.vc.anchors).matrix)
 
 
 def test_pair_hops_hub_path_and_isolated_nodes():
@@ -195,6 +265,10 @@ def test_long_path_counts_past_255_hops():
     assert np.array_equal(hop_counts(t, 0), np.arange(n))
     assert pair_hops(t, [0, n - 1, 17], [n - 1, 0, 17]).tolist() == [n - 1, n - 1, 0]
     assert hop_diameter(t) == n - 1
+    # Seed rows from node 300 (eccentricity 300) and node 1 (598) leave only
+    # the two ends as candidates, at an upper bound of n - 1 each; had the
+    # first row read one hop short at node 0, no candidate would be left.
+    assert hop_diameter(t, hop_rows(t, [300, 1])) == n - 1
 
 
 def test_pair_hops_empty_and_isolated():
