@@ -2,8 +2,10 @@
 
 Every command below runs in-process through ``cli.main``; its stdout bytes
 and exit code must match ``golden_outputs.json``.  A change that alters any
-of them changes simulator output and has to say why.  To rewrite the table
-after such a change, run ``python tests/test_golden_outputs.py``.
+of them changes simulator output and has to say why.  Every ``eval`` and
+``sweep`` case runs a second time with ``--workers 2``, and must match the
+same entry.  To rewrite the table after such a change, run
+``python tests/test_golden_outputs.py``.
 """
 
 from __future__ import annotations
@@ -84,8 +86,20 @@ def _cases() -> dict[str, tuple[str, list[str]]]:
     return cases
 
 
-def _run(case: str, tmp: Path) -> dict:
+def _forked(args: list[str]) -> list[str]:
+    """The same command with ``--workers 2`` before its subcommand."""
+    at = next(i for i, a in enumerate(args) if a in ("eval", "sweep"))
+    return [*args[:at], "--workers", "2", *args[at:]]
+
+
+# Cases that evaluate pairs; each is run again through the forked worker pool.
+FORKED = sorted(c for c, (_, args) in _cases().items() if {"eval", "sweep"} & set(args))
+
+
+def _run(case: str, tmp: Path, forked: bool = False) -> dict:
     text, args = _cases()[case]
+    if forked:
+        args = _forked(args)
     path = tmp / "scenario.cfg"
     path.write_text(text)
     out, err = io.StringIO(), io.StringIO()
@@ -101,6 +115,12 @@ def test_table_covers_every_case():
 @pytest.mark.parametrize("case", sorted(_cases()))
 def test_cli_output_matches_golden(case, tmp_path):
     assert _run(case, tmp_path) == json.loads(TABLE.read_text())[case]
+
+
+@pytest.mark.parametrize("case", FORKED)
+def test_forked_output_matches_golden(case, tmp_path):
+    """Two workers print the bytes of the serial run's table entry."""
+    assert _run(case, tmp_path, forked=True) == json.loads(TABLE.read_text())[case]
 
 
 if __name__ == "__main__":
