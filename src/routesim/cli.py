@@ -24,7 +24,7 @@ from routesim.harness import (
     evaluate_scenario,
     sweep,
 )
-from routesim.routing import CoordSource, route
+from routesim.routing import PROTOCOL_SPECS, CoordSource, route
 from routesim.routing.result import Failure
 from routesim.topology import TopologyError, format_topology
 
@@ -62,7 +62,8 @@ def cmd_gen(args) -> int:
 def cmd_coords(args) -> int:
     cfg = _load_config(args)
     if cfg.spec.coords == CoordSource.GEO:
-        return _fail("coords needs a virtual-coordinate protocol (gf-vcs, gf-avcs, lcr, bvr)")
+        names = ", ".join(p for p, spec in PROTOCOL_SPECS.items() if spec.coords != CoordSource.GEO)
+        return _fail(f"coords needs a virtual-coordinate protocol ({names})")
     _write_out(format_coords(Scenario.routing(cfg).av), args.out)
     return EXIT_OK
 

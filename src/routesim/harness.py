@@ -13,6 +13,7 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
+from itertools import groupby
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -316,10 +317,13 @@ class MetricsRow:
 
 
 class _Outcomes(NamedTuple):
-    """Outcomes of a run of destination groups, per pair in (dst, src) order."""
+    """Outcomes of a run of destination groups, per pair in (dst, src) order.
+
+    No pair has src == dst, so a pair was delivered exactly when its hops
+    are above 0.
+    """
 
     greedy: np.ndarray       # delivered by greedy alone
-    delivered: np.ndarray
     hops: np.ndarray         # length of the delivered route, else 0
     failures: Counter        # cause -> reachable pairs that were not delivered
     episodes: np.ndarray     # complementary episodes as rows (dst, entry, end, hops)
@@ -335,11 +339,10 @@ class _Outcomes(NamedTuple):
 LOCKSTEP_CROSSOVER = 0.5
 
 
-def _eval_run(sc: Scenario, groups: list[tuple[int, int, int]]) -> _Outcomes:
-    """Route a contiguous run of destination groups.
+def _eval_run(sc: Scenario, lo: int, hi: int) -> _Outcomes:
+    """Route the pairs [lo, hi) of ``sc.pairs``, whole destination groups.
 
-    A group ``(dst, lo, hi)`` holds the pairs i in [lo, hi) of ``sc.pairs``:
-    ``(srcs[i], dst)``, with shortest-path hops ``hops[i]``.  Greedy
+    A destination's group is its run of pairs in the slice.  Greedy
     outcomes of every pair come from the bulk kernels: the sparse groups of
     the run share greedy_lockstep batches, each dense group gets its own
     greedy forest.  Recovery protocols then run their per-pair engine on the
@@ -351,46 +354,44 @@ def _eval_run(sc: Scenario, groups: list[tuple[int, int, int]]) -> _Outcomes:
     spec = sc.config.spec
     t = sc.topology
     ttl = sc.ctx.ttl
-    base, end = (groups[0][1], groups[-1][2]) if groups else (0, 0)
-    run_srcs, _, sp = (a[base:end] for a in sc.pairs)
+    srcs, dsts, sp = (a[lo:hi] for a in sc.pairs)
     reach = np.isfinite(sp)
     if spec.recovery == Recovery.SHORTEST_PATH:
-        return _Outcomes(reach, reach, np.where(reach, sp, 0).astype(np.int64), Counter(),
+        return _Outcomes(reach, np.where(reach, sp, 0).astype(np.int64), Counter(),
                          np.empty((0, 4), dtype=np.int64))
-    sizes = np.array([hi - lo for _, lo, hi in groups], dtype=np.int64)
-    group_of = np.repeat(np.arange(len(groups)), sizes)
-    sources = np.bincount(group_of[reach], minlength=len(groups))
+    first = np.diff(dsts, prepend=-1) != 0
+    group_of = np.cumsum(first) - 1
+    bounds = np.flatnonzero(first).tolist() + [len(dsts)]
+    sources = np.bincount(group_of[reach], minlength=len(bounds) - 1)
     lock = sources * sources < LOCKSTEP_CROSSOVER * t.n
     greedy = np.zeros(len(sp), dtype=bool)
     hops = np.zeros(len(sp), dtype=np.int64)
     pick = reach & lock[group_of]
     if pick.any():
-        dsts = np.repeat([dst for dst, _, _ in groups], sizes)
         greedy[pick], hops[pick] = greedy_lockstep(
-            run_srcs[pick], dsts[pick], *sc.ctx.field_inputs(sc.config.protocol), t, ttl)
+            srcs[pick], dsts[pick], *sc.ctx.field_inputs(sc.config.protocol), t, ttl)
     recover = spec.recovery != Recovery.NONE
     active = ~lock
     if recover:
-        active |= np.bincount(group_of[reach & ~greedy], minlength=len(groups)) > 0
-    rescued = np.zeros(len(sp), dtype=bool)
+        active |= np.bincount(group_of[reach & ~greedy], minlength=len(bounds) - 1) > 0
     failures: Counter = Counter()
     episodes = []
     for g in np.flatnonzero(active).tolist():
-        dst, lo, hi = groups[g]
-        pairs = np.flatnonzero(reach[lo - base:hi - base]) + (lo - base)
+        start, stop = bounds[g], bounds[g + 1]
+        dst = int(dsts[start])
+        pairs = np.flatnonzero(reach[start:stop]) + start
         dfield = sc.ctx.dfield(sc.config.protocol, dst)
         if not lock[g]:
             walks = greedy_walks(greedy_successors(dfield, t, dst), dst, ttl)
-            greedy[pairs], hops[pairs] = (a[run_srcs[pairs]] for a in walks)
+            greedy[pairs], hops[pairs] = (a[srcs[pairs]] for a in walks)
         stalled = pairs[~greedy[pairs]].tolist()
         if not recover or not stalled:
             continue
         engine = _engine(sc, dst, dfield)
         for i in stalled:
-            rr = engine(int(run_srcs[i]))
+            rr = engine(int(srcs[i]))
+            hops[i] = rr.hops if rr.delivered else 0
             if rr.delivered:
-                rescued[i] = True
-                hops[i] = rr.hops
                 episodes.extend((dst, *ep) for ep in _episodes(rr))
             else:
                 failures[rr.failure_cause] += 1
@@ -398,9 +399,8 @@ def _eval_run(sc: Scenario, groups: list[tuple[int, int, int]]) -> _Outcomes:
         timed = hops[reach & ~greedy] >= ttl   # hops are capped at the TTL
         failures[Failure.TTL_EXCEEDED] = int(np.count_nonzero(timed))
         failures[Failure.LOCAL_MINIMUM] = len(timed) - failures[Failure.TTL_EXCEEDED]
-    delivered = greedy | rescued
-    return _Outcomes(greedy, delivered, np.where(delivered, hops, 0), failures,
-                     np.array(episodes, dtype=np.int64).reshape(-1, 4))
+        hops[~greedy] = 0
+    return _Outcomes(greedy, hops, failures, np.array(episodes, dtype=np.int64).reshape(-1, 4))
 
 
 def _engine(sc: Scenario, dst: int, dfield: np.ndarray):
@@ -428,19 +428,12 @@ def _episodes(rr):
     and ended.  Episodes that end where they started carry no defined stretch
     and are skipped.
     """
-    modes = rr.modes
-    i = 0
-    while i < len(modes):
-        if modes[i] == Mode.GREEDY:
-            i += 1
-            continue
-        j = i
-        while j < len(modes) and modes[j] != Mode.GREEDY:
-            j += 1
-        entry, end = rr.path[i], rr.path[j]
-        if entry != end:
-            yield entry, end, j - i
-        i = j
+    at = 0
+    for greedy, run in groupby(rr.modes, key=lambda mode: mode == Mode.GREEDY):
+        length = len(list(run))
+        if not greedy and rr.path[at] != rr.path[at + length]:
+            yield rr.path[at], rr.path[at + length], length
+        at += length
 
 
 def _ordered_sum(x: np.ndarray, keys: np.ndarray) -> float:
@@ -488,24 +481,23 @@ def _pairs(sc: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     total = n * (n - 1)
     if 0 < sc.config.sample < total:
         rng = np.random.default_rng([sc.config.seed, _SAMPLE_SALT])
+        # Pair id k = dst * (n - 1) + (rank of src among the other nodes), so
+        # ascending k is ascending (dst, src).
         ks = np.sort(rng.choice(total, size=sc.config.sample, replace=False))
-    else:
-        ks = np.arange(total, dtype=np.int64)
-    # Pair index k = dst * (n - 1) + (rank of src among the other nodes), so
-    # ascending k is ascending (dst, src).
-    dsts, srcs = np.divmod(ks, n - 1)
-    srcs += srcs >= dsts
-    if len(ks) < total:
+        dsts, srcs = np.divmod(ks, n - 1)
+        srcs += srcs >= dsts
         return srcs, dsts, pair_hops(sc.topology, srcs, dsts)
     # All pairs, a block of destinations at a time: a destination's hop_rows
     # row, less its own entry, holds its pairs in source order (the graph is
     # symmetric).  Only one block's rows are held at once.
     nodes = np.arange(n)
+    other = nodes != nodes[:, None]
+    dsts, srcs = np.nonzero(other)
     hops = np.empty(total)
     for lo in range(0, n, _ORACLE_BLOCK):
-        block = nodes[lo:lo + _ORACLE_BLOCK]
-        h = hop_rows(sc.topology, block)[nodes != block[:, None]]
-        hops[lo * (n - 1):(lo + len(block)) * (n - 1)] = np.where(h >= 0, h, np.inf)
+        hi = min(lo + _ORACLE_BLOCK, n)
+        h = hop_rows(sc.topology, nodes[lo:hi])[other[lo:hi]]
+        hops[lo * (n - 1):hi * (n - 1)] = np.where(h >= 0, h, np.inf)
     return srcs, dsts, hops
 
 
@@ -518,14 +510,11 @@ def evaluate(config: ScenarioConfig, workers: int = 1) -> MetricsRow:
 def evaluate_scenario(sc: Scenario, workers: int = 1) -> MetricsRow:
     """Route the pairs of a built scenario; the scenario is only read."""
     _, dsts, sp = sc.pairs
-    bounds = np.flatnonzero(np.diff(dsts, prepend=-1)).tolist() + [len(dsts)]
-    groups = [(int(dsts[lo]), lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    if workers <= 1 or not groups:
-        runs = [_eval_run(sc, groups)]
+    if workers <= 1 or not len(dsts):
+        runs = [_eval_run(sc, 0, len(dsts))]
     else:
-        runs = _parallel_eval(sc, groups, workers)
+        runs = _parallel_eval(sc, workers)
     greedy = np.concatenate([run.greedy for run in runs])
-    delivered = np.concatenate([run.delivered for run in runs])
     hops = np.concatenate([run.hops for run in runs])
     failures: Counter = Counter()
     for run in runs:
@@ -533,7 +522,7 @@ def evaluate_scenario(sc: Scenario, workers: int = 1) -> MetricsRow:
 
     pairs = int(np.count_nonzero(np.isfinite(sp)))
     n_greedy = int(np.count_nonzero(greedy))
-    n_delivered = int(np.count_nonzero(delivered))
+    n_delivered = int(np.count_nonzero(hops))
     # 0.0 for pairs that were not delivered: their hops are 0 (sp is inf for excluded ones)
     stretch = hops / sp
     ratio = lambda a, b: a / b if b else float("nan")
@@ -561,19 +550,21 @@ def evaluate_scenario(sc: Scenario, workers: int = 1) -> MetricsRow:
 _FORK_SCENARIO: Scenario | None = None
 
 
-def _fork_worker(run: list[tuple[int, int, int]]) -> _Outcomes:
-    return _eval_run(_FORK_SCENARIO, run)
+def _fork_worker(run: tuple[int, int]) -> _Outcomes:
+    return _eval_run(_FORK_SCENARIO, *run)
 
 
-def _parallel_eval(sc: Scenario, groups, workers: int) -> list[_Outcomes]:
-    """Fork-based pool over contiguous runs of groups, each evaluated as a
-    serial run is; runs come back in ascending dst order, so the reduced
-    result is byte-identical to a serial run."""
+def _parallel_eval(sc: Scenario, workers: int) -> list[_Outcomes]:
+    """Fork-based pool over pair ranges cut at destination starts, each
+    evaluated as a serial run is; runs come back in ascending dst order, so
+    the reduced result is byte-identical to a serial run."""
     import multiprocessing as mp
 
     global _FORK_SCENARIO
-    size = max(1, -(-len(groups) // (workers * 4)))
-    runs = [groups[i:i + size] for i in range(0, len(groups), size)]
+    _, dsts, _ = sc.pairs
+    starts = np.flatnonzero(np.diff(dsts, prepend=-1))
+    cuts = starts[::max(1, -(-len(starts) // (workers * 4)))].tolist() + [len(dsts)]
+    runs = list(zip(cuts, cuts[1:]))
     _FORK_SCENARIO = sc
     try:
         with mp.get_context("fork").Pool(processes=min(workers, len(runs))) as pool:

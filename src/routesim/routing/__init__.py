@@ -19,7 +19,7 @@ from routesim import distance as dist_mod
 from routesim.coords import AlignedCoords, VirtualCoords
 from routesim.routing.greedy import greedy_next_hop, greedy_route, sp_route
 from routesim.routing.gpsr import FaceTable, face_table, gpsr_route
-from routesim.routing.planar import METHOD_GG, METHOD_RNG, planarize, segments_properly_cross, count_crossings
+from routesim.routing.planar import METHOD_GG, METHOD_RNG, planarize, count_crossings
 from routesim.routing.recovery import BeaconTrees, beacon_trees, bvr_route, lcr_route
 from routesim.routing.result import Failure, Mode, Outcome, RouteResult, finish
 from routesim.topology import Topology, TopologyError
@@ -181,7 +181,6 @@ __all__ = [
     "planarize",
     "METHOD_GG",
     "METHOD_RNG",
-    "segments_properly_cross",
     "count_crossings",
     "FaceTable",
     "face_table",

@@ -64,34 +64,21 @@ def planarize(t: Topology, positions: np.ndarray, method: str) -> Topology:
     return _from_edges(t.deployment, t.radio_range, edges[keep])
 
 
-def _orient(a, b, c) -> float:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
-def segments_properly_cross(p1, p2, q1, q2) -> bool:
-    """True when the open segments cross at a single interior point.
+def crossing_point(p1, p2, q1, q2) -> tuple[float, float] | None:
+    """Where the open segments p1p2 and q1q2 cross at one interior point, else None.
 
     Touching endpoints and collinear overlap do not count; face routing only
-    changes faces on genuine crossings.
+    changes faces on genuine crossings.  Each d orients an end of one segment
+    against the other; d1 is also the numerator of the crossing's parameter.
     """
-    d1 = _orient(q1, q2, p1)
-    d2 = _orient(q1, q2, p2)
-    d3 = _orient(p1, p2, q1)
-    d4 = _orient(p1, p2, q2)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0
-
-
-def crossing_point(p1, p2, q1, q2) -> tuple[float, float] | None:
-    """Intersection point of two properly crossing segments, else None."""
-    if not segments_properly_cross(p1, p2, q1, q2):
+    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = p1, p2, q1, q2
+    d1 = (x4 - x3) * (y1 - y3) - (y4 - y3) * (x1 - x3)
+    d2 = (x4 - x3) * (y2 - y3) - (y4 - y3) * (x2 - x3)
+    d3 = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
+    d4 = (x2 - x1) * (y4 - y1) - (y2 - y1) * (x4 - x1)
+    if 0 in (d1, d2, d3, d4) or (d1 > 0) == (d2 > 0) or (d3 > 0) == (d4 > 0):
         return None
-    x1, y1 = p1
-    x2, y2 = p2
-    x3, y3 = q1
-    x4, y4 = q2
-    denom = (x1 - x2) * (y3 - y4) - (y1 - y2) * (x3 - x4)
-    tnum = (x1 - x3) * (y3 - y4) - (y1 - y3) * (x3 - x4)
-    s = tnum / denom
+    s = d1 / ((x1 - x2) * (y3 - y4) - (y1 - y2) * (x3 - x4))
     return (x1 + s * (x2 - x1), y1 + s * (y2 - y1))
 
 

@@ -9,6 +9,7 @@ from routesim import harness
 from routesim.cli import main
 from routesim.config import _KEY_TYPES
 from routesim.harness import Scenario
+from routesim.routing import PROTOCOL_SPECS, CoordSource
 
 GRID_CFG = "deployment = grid\nrows = 20\ncols = 20\nradio_range = 1.2\nprotocol = gf-geo\n"
 HOLE_CFG = (
@@ -271,6 +272,11 @@ def test_coords_dump(cfg_file, capsys):
 def test_coords_rejects_geo_protocol(cfg_file, capsys):
     path = cfg_file(GRID_CFG)
     assert run_cli(["--config", path, "coords"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: coords needs a virtual-coordinate protocol (gf-vcs, gf-avcs, lcr, bvr)\n"
+    # the names are the table's protocols on virtual coordinates, in table order
+    virtual = [p for p, spec in PROTOCOL_SPECS.items() if spec.coords != CoordSource.GEO]
+    assert err[err.index("(") + 1:err.index(")")].split(", ") == virtual
 
 
 def test_map_output(cfg_file, capsys):

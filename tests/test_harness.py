@@ -27,6 +27,7 @@ from routesim.harness import (
     ScenarioConfig,
     ScenarioError,
     distance_map,
+    _eval_run,
     _ordered_sum,
     evaluate,
     evaluate_scenario,
@@ -559,6 +560,53 @@ def test_stalling_examples_stall_pairs_in_both_kernels(case):
                       for src, dst in zip(srcs, dsts)
                       if route(case["protocol"], src, dst, sc.ctx).outcome != Outcome.DELIVERED_GREEDY)
     assert stalled[True] > 0 and stalled[False] > 0, stalled
+
+
+# Sampled and all-pairs random scenarios of every protocol, small enough to
+# route every pair one by one.
+SMALL_SCENARIOS = dict(
+    protocol=st.sampled_from(PROTOCOLS), n=st.integers(6, 24), radio_range=st.floats(1.2, 2.6),
+    seed=st.integers(1, 10_000), ttl_factor=st.sampled_from((0.6, 4.0)),
+    loc_error=st.sampled_from((0.0, 0.4)), align_depth=st.integers(0, 2),
+    distance=st.sampled_from(("euclid", "semi")), sample_per_node=st.sampled_from((0, 1, 3)))
+
+
+def _built(case):
+    try:
+        return Scenario.build(_random_config(**case))
+    except CoordsError:  # virtual coordinates need a connected graph
+        assume(False)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(data=st.data(), **SMALL_SCENARIOS)
+@example(data=None, **STALLING_EXAMPLES[2])
+def test_eval_runs_over_destination_cuts_concatenate_to_one_run(data, **case):
+    sc = _built(case)
+    _, dsts, _ = sc.pairs
+    starts = np.flatnonzero(np.diff(dsts, prepend=-1)).tolist()
+    chosen = set(starts[::3]) if data is None else data.draw(st.sets(st.sampled_from(starts)))
+    cuts = sorted(chosen | {0, len(dsts)})
+    whole = _eval_run(sc, 0, len(dsts))
+    parts = [_eval_run(sc, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    for name in ("greedy", "hops", "episodes"):
+        assert np.array_equal(np.concatenate([getattr(p, name) for p in parts]), getattr(whole, name))
+    assert sum((p.failures for p in parts), Counter()) == +whole.failures
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(**SMALL_SCENARIOS)
+def test_pairs_are_sorted_and_delivered_exactly_when_hops_are_positive(**case):
+    sc = _built(case)
+    srcs, dsts, _ = sc.pairs
+    assert np.all(srcs != dsts)
+    assert np.all(np.diff(dsts * sc.topology.n + srcs) > 0)   # ascending (dst, src), no repeats
+    run = _eval_run(sc, 0, len(dsts))
+    for i, (src, dst) in enumerate(zip(srcs.tolist(), dsts.tolist())):
+        rr = route(sc.config.protocol, src, dst, sc.ctx)
+        assert (run.hops[i] > 0) == rr.delivered
+        assert run.hops[i] == (rr.hops if rr.delivered else 0)
+        assert run.greedy[i] == (rr.outcome == Outcome.DELIVERED_GREEDY)
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)

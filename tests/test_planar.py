@@ -10,7 +10,6 @@ from routesim.routing import (
     METHOD_RNG,
     count_crossings,
     planarize,
-    segments_properly_cross,
 )
 from routesim.routing import planar
 from routesim.routing.planar import crossing_point
@@ -106,21 +105,82 @@ def test_planar_edge_subset_of_topology():
                 assert v in t.adjacency[u]
 
 
-def test_segments_properly_cross():
-    assert segments_properly_cross((-1, 0), (1, 0), (0, -1), (0, 1))
+def test_crossing_point_needs_a_proper_crossing():
+    assert crossing_point((-1, 0), (1, 0), (0, -1), (0, 1)) is not None
     # touching at an endpoint is not a crossing
-    assert not segments_properly_cross((-1, 0), (1, 0), (1, 0), (1, 1))
-    assert not segments_properly_cross((-1, 0), (1, 0), (0, 0), (0, 1))
+    assert crossing_point((-1, 0), (1, 0), (1, 0), (1, 1)) is None
+    assert crossing_point((-1, 0), (1, 0), (0, 0), (0, 1)) is None
     # collinear overlap is not a crossing
-    assert not segments_properly_cross((-1, 0), (1, 0), (0, 0), (2, 0))
+    assert crossing_point((-1, 0), (1, 0), (0, 0), (2, 0)) is None
     # disjoint
-    assert not segments_properly_cross((-1, 0), (1, 0), (2, 1), (3, -1))
+    assert crossing_point((-1, 0), (1, 0), (2, 1), (3, -1)) is None
 
 
 def test_crossing_point_value():
     p = crossing_point((-1, 0), (1, 0), (0, -2), (0, 2))
     assert p == pytest.approx((0.0, 0.0))
     assert crossing_point((-1, 0), (1, 0), (0, 1), (0, 2)) is None
+
+
+def _orient(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def segments_properly_cross(p1, p2, q1, q2):
+    """Reference: the proper-crossing test crossing_point used to call."""
+    d1 = _orient(q1, q2, p1)
+    d2 = _orient(q1, q2, p2)
+    d3 = _orient(p1, p2, q1)
+    d4 = _orient(p1, p2, q2)
+    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0
+
+
+def reference_crossing_point(p1, p2, q1, q2):
+    """Reference: crossing_point as it was, with its own parameter numerator."""
+    if not segments_properly_cross(p1, p2, q1, q2):
+        return None
+    x1, y1 = p1
+    x2, y2 = p2
+    x3, y3 = q1
+    x4, y4 = q2
+    denom = (x1 - x2) * (y3 - y4) - (y1 - y2) * (x3 - x4)
+    tnum = (x1 - x3) * (y3 - y4) - (y1 - y3) * (x3 - x4)
+    s = tnum / denom
+    return (x1 + s * (x2 - x1), y1 + s * (y2 - y1))
+
+
+_coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+_grid = st.integers(-3, 3)
+
+
+@st.composite
+def segment_pairs(draw):
+    """Two segments: random floats, integer-grid points (collinear, touching
+    and shared endpoints), or a segment and a nearly parallel shifted copy."""
+    kind = draw(st.sampled_from(("float", "grid", "near-parallel")))
+    if kind == "float":
+        points = draw(st.lists(st.tuples(_coord, _coord), min_size=4, max_size=4))
+    elif kind == "grid":
+        points = draw(st.lists(st.tuples(_grid, _grid), min_size=4, max_size=4))
+    else:
+        (x1, y1), (x2, y2), (dx, dy) = draw(st.lists(st.tuples(_coord, _coord), min_size=3, max_size=3))
+        tilt = draw(st.floats(-1e-9, 1e-9))
+        points = [(x1, y1), (x2, y2), (x1 + dx * 1e-6, y1 + dy * 1e-6),
+                  (x2 + dx * 1e-6 + tilt, y2 + dy * 1e-6 - tilt)]
+    if draw(st.booleans()):  # rows of a positions array, as the face walk passes them
+        points = list(np.array(points, dtype=float))
+    return points
+
+
+@settings(max_examples=1000, deadline=None)
+@given(segment_pairs())
+def test_crossing_point_matches_reference_bits(points):
+    got = crossing_point(*points)
+    want = reference_crossing_point(*points)
+    if want is None:
+        assert got is None
+    else:
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
 
 def test_tie_rules():
@@ -193,7 +253,7 @@ def test_count_crossings_matches_pairwise_loop(pair_block):
     pos = perturb_positions(t, 0.4, 3)
     edges = t.edges().tolist()
     want = sum(
-        segments_properly_cross(pos[a], pos[b], pos[c], pos[e])
+        crossing_point(pos[a], pos[b], pos[c], pos[e]) is not None
         for i, (a, b) in enumerate(edges)
         for c, e in edges[i + 1:]
     )
