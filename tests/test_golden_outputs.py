@@ -16,11 +16,14 @@ import io
 import json
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from routesim.cli import main
+from routesim.config import parse_config
+from routesim.harness import evaluate
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
@@ -32,6 +35,10 @@ VARIANT_PROTOCOLS = ("lcr", "bvr", "gpsr-gg", "gpsr-rng", "sp")
 # 9 -> 361 crosses the void: lcr backtracks, bvr falls back and floods, gpsr
 # enters perimeter mode; on gpsr-rng 150 -> 220 ends in a perimeter loop.
 VARIANT_COMMANDS = (["--sample", "2000", "eval"], ["route", "9", "361"], ["route", "150", "220"])
+# A void strip down the grid's middle column, and protocols that route
+# across components (virtual coordinates need a connected graph).
+SPLIT_VOID = "rect:9.5,9.5,0.6,10.0"
+SPLIT_PROTOCOLS = ("gf-geo", "gpsr-rng", "sp")
 # (config keys set on the base config, commands run on the result)
 VARIANTS = (
     *(({"protocol": p, "loc_error": 0.4}, VARIANT_COMMANDS) for p in VARIANT_PROTOCOLS),
@@ -44,6 +51,10 @@ VARIANTS = (
     # run ends pairs in local minima, perimeter loops and the TTL.
     *(({"protocol": p, "rows": 12, "cols": 12, "voids": "disc:5.5,5.5,2.5", "loc_error": 0.4}, (["eval"],))
       for p in ("gpsr-gg", "gpsr-rng", "bvr")),
+    # A grid split in two by a void strip: 72,000 of its 144,020 ordered
+    # pairs cross between the halves and are excluded from the metrics.
+    *(({"protocol": p, "voids": SPLIT_VOID, "loc_error": 0.4}, (["eval"], ["--sample", "2000", "eval"]))
+      for p in SPLIT_PROTOCOLS),
 )
 # (config file, argv after ``--config``): every sweep axis on the variant
 # base, where hole_count 3 cuts a node off from anchor 0 (a point error, exit
@@ -106,6 +117,14 @@ def _run(case: str, tmp: Path, forked: bool = False) -> dict:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["--config", str(path), *args])
     return {"exit": code, "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
+@pytest.mark.parametrize("protocol", SPLIT_PROTOCOLS)
+def test_split_grid_cases_exclude_pairs(protocol):
+    # The split-grid cases pin the bytes of the path that excludes pairs.
+    cfg = parse_config(_variant_text({"protocol": protocol, "voids": SPLIT_VOID, "loc_error": 0.4}))
+    assert evaluate(cfg).excluded_pairs == 72_000
+    assert evaluate(replace(cfg, sample=2000)).excluded_pairs > 0
 
 
 def test_table_covers_every_case():
