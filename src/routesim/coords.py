@@ -88,7 +88,7 @@ _ROOT_CHUNK = 1024
 
 
 def pair_hops(t: Topology, srcs, dsts) -> np.ndarray:
-    """Hop distance of every (srcs[i], dsts[i]) pair; inf across components.
+    """Hop distance of every (srcs[i], dsts[i]) pair; int32, -1 across components.
 
     Bit-parallel breadth-first search, one bit per root (the bit-parallel
     labels of Akiba, Iwata & Yoshida, SIGMOD 2013).  Hop distance is
@@ -105,7 +105,7 @@ def pair_hops(t: Topology, srcs, dsts) -> np.ndarray:
     """
     srcs = _node_ids(t, srcs)
     dsts = _node_ids(t, dsts)
-    out = np.full(len(srcs), np.inf)
+    out = np.full(len(srcs), -1, dtype=np.int32)
     if len(srcs) == 0:
         return out
     rank = t.degree_order.rank
@@ -131,7 +131,7 @@ def pair_hops(t: Topology, srcs, dsts) -> np.ndarray:
         for b, plane in enumerate(planes):
             hops |= ((plane.take(at) >> bit) & 1) << np.uint64(b)
         reached = ((visited.take(at) >> bit) & 1).astype(bool)
-        out[mine] = np.where(reached, hops, np.inf)
+        out[mine] = np.where(reached, hops.astype(np.int32), -1)
     return out
 
 

@@ -233,7 +233,7 @@ class Scenario:
         return sc
 
     def hop_matrix(self) -> np.ndarray:
-        """All-pairs hop distances (float, inf across components).
+        """All-pairs hop distances (int32, -1 across components).
 
         Nothing in routesim calls this O(n^2) matrix: building and
         evaluating a scenario use ``pair_hops`` on the pairs they need.  It
@@ -242,8 +242,7 @@ class Scenario:
         inside routesim instead.  Row i is node i's ``hop_rows`` row, which
         is column i too, since the graph is symmetric.
         """
-        h = hop_rows(self.topology, np.arange(self.topology.n))
-        return np.where(h >= 0, h, np.inf)
+        return hop_rows(self.topology, np.arange(self.topology.n))
 
     @property
     def effective_depth(self) -> int:
@@ -324,7 +323,7 @@ class _Outcomes(NamedTuple):
     """
 
     greedy: np.ndarray       # delivered by greedy alone
-    hops: np.ndarray         # length of the delivered route, else 0
+    hops: np.ndarray         # int32 length of the delivered route, else 0
     failures: Counter        # cause -> reachable pairs that were not delivered
     episodes: np.ndarray     # complementary episodes as rows (dst, entry, end, hops)
 
@@ -355,9 +354,9 @@ def _eval_run(sc: Scenario, lo: int, hi: int) -> _Outcomes:
     t = sc.topology
     ttl = sc.ctx.ttl
     srcs, dsts, sp = (a[lo:hi] for a in sc.pairs)
-    reach = np.isfinite(sp)
+    reach = sp >= 0
     if spec.recovery == Recovery.SHORTEST_PATH:
-        return _Outcomes(reach, np.where(reach, sp, 0).astype(np.int64), Counter(),
+        return _Outcomes(reach, np.where(reach, sp, 0), Counter(),
                          np.empty((0, 4), dtype=np.int64))
     first = np.diff(dsts, prepend=-1) != 0
     group_of = np.cumsum(first) - 1
@@ -365,7 +364,7 @@ def _eval_run(sc: Scenario, lo: int, hi: int) -> _Outcomes:
     sources = np.bincount(group_of[reach], minlength=len(bounds) - 1)
     lock = sources * sources < LOCKSTEP_CROSSOVER * t.n
     greedy = np.zeros(len(sp), dtype=bool)
-    hops = np.zeros(len(sp), dtype=np.int64)
+    hops = np.zeros(len(sp), dtype=np.int32)
     pick = reach & lock[group_of]
     if pick.any():
         greedy[pick], hops[pick] = greedy_lockstep(
@@ -475,7 +474,7 @@ _ORACLE_BLOCK = 64
 
 
 def _pairs(sc: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(srcs, dsts, shortest-path hops, inf across components) of every ordered
+    """(srcs, dsts, shortest-path hops, -1 across components) of every ordered
     pair, or of the config's sample of them, sorted by (dst, src)."""
     n = sc.topology.n
     total = n * (n - 1)
@@ -493,11 +492,10 @@ def _pairs(sc: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     nodes = np.arange(n)
     other = nodes != nodes[:, None]
     dsts, srcs = np.nonzero(other)
-    hops = np.empty(total)
+    hops = np.empty(total, dtype=np.int32)
     for lo in range(0, n, _ORACLE_BLOCK):
         hi = min(lo + _ORACLE_BLOCK, n)
-        h = hop_rows(sc.topology, nodes[lo:hi])[other[lo:hi]]
-        hops[lo * (n - 1):hi * (n - 1)] = np.where(h >= 0, h, np.inf)
+        hops[lo * (n - 1):hi * (n - 1)] = hop_rows(sc.topology, nodes[lo:hi])[other[lo:hi]]
     return srcs, dsts, hops
 
 
@@ -509,6 +507,8 @@ def evaluate(config: ScenarioConfig, workers: int = 1) -> MetricsRow:
 
 def evaluate_scenario(sc: Scenario, workers: int = 1) -> MetricsRow:
     """Route the pairs of a built scenario; the scenario is only read."""
+    if sc.pairs is None:
+        raise ScenarioError("scenario has no pairs to evaluate: build it with Scenario.build")
     _, dsts, sp = sc.pairs
     if workers <= 1 or not len(dsts):
         runs = [_eval_run(sc, 0, len(dsts))]
@@ -520,10 +520,10 @@ def evaluate_scenario(sc: Scenario, workers: int = 1) -> MetricsRow:
     for run in runs:
         failures += run.failures      # keeps positive counts only
 
-    pairs = int(np.count_nonzero(np.isfinite(sp)))
+    pairs = int(np.count_nonzero(sp >= 0))
     n_greedy = int(np.count_nonzero(greedy))
     n_delivered = int(np.count_nonzero(hops))
-    # 0.0 for pairs that were not delivered: their hops are 0 (sp is inf for excluded ones)
+    # 0.0 where not delivered (hops 0); -0.0 where excluded (sp -1), and x + -0.0 is x
     stretch = hops / sp
     ratio = lambda a, b: a / b if b else float("nan")
     cfg = sc.config

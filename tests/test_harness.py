@@ -186,7 +186,7 @@ def test_fields_are_built_once_and_only_where_needed(monkeypatch, protocol):
     monkeypatch.setattr(RoutingContext, "dfield", recording)
     evaluate_scenario(sc)
     monkeypatch.undo()
-    srcs, dsts = (a[np.isfinite(sc.pairs[2])].tolist() for a in sc.pairs[:2])
+    srcs, dsts = (a[sc.pairs[2] >= 0].tolist() for a in sc.pairs[:2])
     dense = {dst for dst, k in Counter(dsts).items() if k * k >= LOCKSTEP_CROSSOVER * sc.topology.n}
     stalled = {dst for src, dst in zip(srcs, dsts)
                if route(protocol, src, dst, sc.ctx).outcome != Outcome.DELIVERED_GREEDY}
@@ -234,6 +234,13 @@ def test_evaluation_only_reads_the_built_scenario(cfg):
         assert np.array_equal(getattr(rs.topology, name), getattr(sc.topology, name)), name
     assert np.array_equal(rs.av.matrix, sc.av.matrix)
     assert np.array_equal(rs.ctx.geo_positions, sc.ctx.geo_positions)
+
+
+def test_routing_scenario_cannot_be_evaluated():
+    # A routing-only scenario has no pairs; unchecked, unpacking them raised TypeError.
+    sc = Scenario.routing(ScenarioConfig(deployment="grid", rows=6, cols=6, protocol="gf-geo"))
+    with pytest.raises(ScenarioError, match=r"Scenario\.build"):
+        evaluate_scenario(sc)
 
 
 def test_large_sampled_scenario_memory_is_bounded(monkeypatch):
@@ -444,11 +451,11 @@ def test_perceived_positions_only_affect_geo_side():
 
 
 def _networkx_hops(t):
-    """All-pairs hop distances from networkx, inf across components."""
+    """All-pairs hop distances from networkx, int32, -1 across components."""
     g = nx.Graph()
     g.add_nodes_from(range(t.n))
     g.add_edges_from(t.edges().tolist())
-    hops = np.full((t.n, t.n), np.inf)
+    hops = np.full((t.n, t.n), -1, dtype=np.int32)
     for src, row in nx.all_pairs_shortest_path_length(g):
         hops[src, list(row)] = list(row.values())
     return hops
@@ -460,7 +467,7 @@ def test_hop_matrix_matches_networkx_across_components():
                          protocol="gf-geo")
     sc = Scenario.build(cfg)
     hops = sc.hop_matrix()
-    assert np.isinf(hops).any()
+    assert hops.dtype == np.int32 and (hops == -1).any()
     assert np.array_equal(hops, _networkx_hops(sc.topology))
 
 
@@ -472,7 +479,7 @@ def _per_pair_metrics(sc):
     failures = Counter()
     for src, dst in zip(*(a.tolist() for a in sc.pairs[:2])):
         sp = hops[src, dst]
-        if not np.isfinite(sp):
+        if sp < 0:
             excluded += 1
             continue
         pairs += 1
@@ -554,7 +561,7 @@ def test_stalling_examples_stall_pairs_in_both_kernels(case):
     # The gate of bulk recovery: the examples above must keep stalled pairs
     # in lockstep groups and in forest groups, by per-pair route.
     sc = Scenario.build(_random_config(**case))
-    srcs, dsts = (a[np.isfinite(sc.pairs[2])].tolist() for a in sc.pairs[:2])
+    srcs, dsts = (a[sc.pairs[2] >= 0].tolist() for a in sc.pairs[:2])
     sources = Counter(dsts)
     stalled = Counter(sources[dst] ** 2 < LOCKSTEP_CROSSOVER * sc.topology.n
                       for src, dst in zip(srcs, dsts)
@@ -596,12 +603,20 @@ def test_eval_runs_over_destination_cuts_concatenate_to_one_run(data, **case):
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(**SMALL_SCENARIOS)
+# Five components: most of the sampled pairs cross.
+@example(protocol="gpsr-rng", n=24, radio_range=1.2, seed=1, ttl_factor=4.0, loc_error=0.4,
+         align_depth=0, distance="euclid", sample_per_node=3)
 def test_pairs_are_sorted_and_delivered_exactly_when_hops_are_positive(**case):
     sc = _built(case)
-    srcs, dsts, _ = sc.pairs
+    srcs, dsts, sp = sc.pairs
     assert np.all(srcs != dsts)
     assert np.all(np.diff(dsts * sc.topology.n + srcs) > 0)   # ascending (dst, src), no repeats
+    # Shortest-path hops are int32: -1 exactly for the pairs across components.
+    label = sc.topology.component_labels()
+    cross = label[srcs] != label[dsts]
+    assert sp.dtype == np.int32 and np.all(sp[cross] == -1) and np.all(sp[~cross] > 0)
     run = _eval_run(sc, 0, len(dsts))
+    assert run.hops.dtype == np.int32
     for i, (src, dst) in enumerate(zip(srcs.tolist(), dsts.tolist())):
         rr = route(sc.config.protocol, src, dst, sc.ctx)
         assert (run.hops[i] > 0) == rr.delivered

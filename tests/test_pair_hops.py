@@ -37,7 +37,7 @@ def _graph(t):
 
 def _expected(g, srcs, dsts):
     rows = {d: nx.single_source_shortest_path_length(g, d) for d in set(dsts)}
-    return np.array([rows[d].get(s, np.inf) for s, d in zip(srcs, dsts)], dtype=float)
+    return np.array([rows[d].get(s, -1) for s, d in zip(srcs, dsts)], dtype=np.int32)
 
 
 def _expected_rows(g, roots):
@@ -98,7 +98,8 @@ def test_pair_hops_matches_networkx(t, data):
         dsts = np.concatenate([dsts, [d for _, d in extra]])
     order = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(len(srcs))
     srcs, dsts = srcs[order], dsts[order]
-    assert np.array_equal(pair_hops(t, srcs, dsts), _expected(_graph(t), srcs.tolist(), dsts.tolist()))
+    hops = pair_hops(t, srcs, dsts)
+    assert hops.dtype == np.int32 and np.array_equal(hops, _expected(_graph(t), srcs.tolist(), dsts.tolist()))
 
 
 @settings(max_examples=120, deadline=None)
@@ -155,7 +156,7 @@ def test_pair_hops_over_several_root_passes(monkeypatch):
     srcs, dsts = srcs[order], dsts[order]
     want = _scipy_rows(t, range(n))
     passes = _record_passes(monkeypatch)
-    assert np.array_equal(pair_hops(t, srcs, dsts), np.where(want >= 0, want, np.inf)[dsts, srcs])
+    assert np.array_equal(pair_hops(t, srcs, dsts), want[dsts, srcs])
     assert [len(p) for p in passes] == [coords._ROOT_CHUNK] * 2 + [4 * groups - 2 * coords._ROOT_CHUNK]
     passes.clear()
     shuffled = rng.permutation(4 * groups)
@@ -273,8 +274,8 @@ def test_long_path_counts_past_255_hops():
 
 def test_pair_hops_empty_and_isolated():
     t = _topology(3, [])
-    assert pair_hops(t, [], []).shape == (0,)
-    assert pair_hops(t, [0, 1, 2], [0, 2, 1]).tolist() == [0.0, np.inf, np.inf]
+    assert pair_hops(t, [], []).shape == (0,) and pair_hops(t, [], []).dtype == np.int32
+    assert pair_hops(t, [0, 1, 2], [0, 2, 1]).tolist() == [0, -1, -1]
     assert hop_diameter(t) == 0
     # Deployments refuse zero nodes; a bare Topology over none still has
     # diameter 0, with no search from a node 0 that is not there.
