@@ -51,6 +51,10 @@ VARIANTS = (
     # run ends pairs in local minima, perimeter loops and the TTL.
     *(({"protocol": p, "rows": 12, "cols": 12, "voids": "disc:5.5,5.5,2.5", "loc_error": 0.4}, (["eval"],))
       for p in ("gpsr-gg", "gpsr-rng", "bvr")),
+    # All pairs of the 20x20 base: many sources stall at one node toward the
+    # same destination: bvr has 112,898 stalled pairs on 5,692 (stall node,
+    # destination) keys.
+    *(({"protocol": p, "loc_error": 0.4}, (["eval"],)) for p in ("gpsr-rng", "bvr")),
     # A grid split in two by a void strip: 72,000 of its 144,020 ordered
     # pairs cross between the halves and are excluded from the metrics.
     *(({"protocol": p, "voids": SPLIT_VOID, "loc_error": 0.4}, (["eval"], ["--sample", "2000", "eval"]))
