@@ -344,11 +344,24 @@ def _eval_run(sc: Scenario, lo: int, hi: int) -> _Outcomes:
     A destination's group is its run of pairs in the slice.  Greedy
     outcomes of every pair come from the bulk kernels: the sparse groups of
     the run share greedy_lockstep batches, each dense group gets its own
-    greedy forest.  Recovery protocols then run their per-pair engine on the
-    pairs greedy did not deliver, which is exact: every engine is
-    greedy_route plus an episode at a local minimum.  A destination's field
-    is built once, only for a dense group or a stalled pair, and is released
-    when the next group's replaces it.
+    greedy forest.  A recovery protocol then resumes each pair that greedy
+    did not deliver where its greedy walk stopped, as ``_engine``'s
+    continuation: every engine is greedy_route plus an episode at a local
+    minimum and checks the TTL before each hop, so from the stall node u,
+    with the ttl - p hops a greedy prefix of p hops left, it routes the rest
+    of the pair's route.
+
+    A gpsr or bvr continuation depends only on u, dst and its budget, so it
+    runs once per (u, dst), with the largest budget among the pairs that
+    stalled at u.  Its c hops then hold for each of them with c <= ttl - p:
+    the pair's hops are p + c, with the continuation's outcome and episodes.
+    Any other pair is ttl-exceeded, as its TTL check at ttl - p hops fires
+    before the continuation ends.  lcr, whose search starts with the prefix
+    as its visited set, and a pair whose prefix used the whole TTL keep the
+    route from the source: the key is (src, dst) with p = 0.  Episodes come
+    out per pair in (dst, src) order.  A destination's field is built once,
+    only for a dense group or a stalled pair, and is released when the next
+    group's replaces it.
     """
     spec = sc.config.spec
     t = sc.topology
@@ -365,58 +378,107 @@ def _eval_run(sc: Scenario, lo: int, hi: int) -> _Outcomes:
     lock = sources * sources < LOCKSTEP_CROSSOVER * t.n
     greedy = np.zeros(len(sp), dtype=bool)
     hops = np.zeros(len(sp), dtype=np.int32)
+    stop = np.zeros(len(sp), dtype=np.int64)
     pick = reach & lock[group_of]
     if pick.any():
-        greedy[pick], hops[pick] = greedy_lockstep(
+        greedy[pick], hops[pick], stop[pick] = greedy_lockstep(
             srcs[pick], dsts[pick], *sc.ctx.field_inputs(sc.config.protocol), t, ttl)
     recover = spec.recovery != Recovery.NONE
+    resume = spec.recovery != Recovery.BACKTRACK
+
+    def keyed(pairs):
+        """Each stalled pair's key, group * n + the node its continuation
+        starts at, and the greedy prefix before that node."""
+        at = (hops[pairs] < ttl) & resume
+        return (group_of[pairs] * t.n + np.where(at, stop[pairs], srcs[pairs]),
+                np.where(at, hops[pairs], 0))
+
     active = ~lock
     if recover:
-        active |= np.bincount(group_of[reach & ~greedy], minlength=len(bounds) - 1) > 0
-    failures: Counter = Counter()
-    episodes = []
+        lock_keys, lock_budgets = _budgets(*keyed(np.flatnonzero(pick & ~greedy)), ttl)
+        key_bounds = np.searchsorted(lock_keys, np.arange(len(bounds)) * t.n)
+        active[lock_keys // t.n] = True
+    # One row per continuation, keys ascending: key, hops, failure code (-1
+    # when delivered) and the number of its episodes in ``found``.
+    ran = []
+    causes = {Failure.TTL_EXCEEDED: 0}
+    found = []
     for g in np.flatnonzero(active).tolist():
-        start, stop = bounds[g], bounds[g + 1]
+        start, end = bounds[g], bounds[g + 1]
         dst = int(dsts[start])
-        pairs = np.flatnonzero(reach[start:stop]) + start
         dfield = sc.ctx.dfield(sc.config.protocol, dst)
-        if not lock[g]:
+        if lock[g]:
+            keys = lock_keys[key_bounds[g]:key_bounds[g + 1]]
+            budgets = lock_budgets[key_bounds[g]:key_bounds[g + 1]]
+        else:
+            pairs = np.flatnonzero(reach[start:end]) + start
             walks = greedy_walks(greedy_successors(dfield, t, dst), dst, ttl)
-            greedy[pairs], hops[pairs] = (a[srcs[pairs]] for a in walks)
-        stalled = pairs[~greedy[pairs]].tolist()
-        if not recover or not stalled:
-            continue
+            greedy[pairs], hops[pairs], stop[pairs] = (a[srcs[pairs]] for a in walks)
+            if not recover:
+                continue
+            keys, budgets = _budgets(*keyed(pairs[~greedy[pairs]]), ttl)
         engine = _engine(sc, dst, dfield)
-        for i in stalled:
-            rr = engine(int(srcs[i]))
-            hops[i] = rr.hops if rr.delivered else 0
+        base = g * t.n
+        for key, budget in zip(keys.tolist(), budgets.tolist()):
+            rr = engine(key - base, budget)
             if rr.delivered:
-                episodes.extend((dst, *ep) for ep in _episodes(rr))
+                episodes = list(_episodes(rr))
+                found.extend(episodes)
+                ran.append((key, rr.hops, -1, len(episodes)))
             else:
-                failures[rr.failure_cause] += 1
+                ran.append((key, rr.hops, causes.setdefault(rr.failure_cause, len(causes)), 0))
     if not recover:
         timed = hops[reach & ~greedy] >= ttl   # hops are capped at the TTL
+        failures = Counter()
         failures[Failure.TTL_EXCEEDED] = int(np.count_nonzero(timed))
         failures[Failure.LOCAL_MINIMUM] = len(timed) - failures[Failure.TTL_EXCEEDED]
         hops[~greedy] = 0
-    return _Outcomes(greedy, hops, failures, np.array(episodes, dtype=np.int64).reshape(-1, 4))
+        return _Outcomes(greedy, hops, failures, np.empty((0, 4), dtype=np.int64))
+    # Fan each continuation's outcome out to the pairs that share its key.
+    stalled = np.flatnonzero(reach & ~greedy)
+    key, prefix = keyed(stalled)
+    ran_keys, ran_hops, ran_cause, ran_count = np.array(ran, dtype=np.int64).reshape(-1, 4).T
+    of = np.searchsorted(ran_keys, key)
+    c, cause = ran_hops[of], ran_cause[of]
+    fits = c <= ttl - prefix
+    done = fits & (cause < 0)
+    hops[stalled] = np.where(done, prefix + c, 0)
+    failed = np.bincount(np.where(fits, cause, 0)[~done], minlength=len(causes))
+    # Each delivered pair's rows of ``found``, pair after pair.
+    count = ran_count[of[done]]
+    first_row = (np.cumsum(ran_count) - ran_count)[of[done]]
+    rows = np.repeat(first_row - (np.cumsum(count) - count), count) + np.arange(count.sum())
+    episodes = np.column_stack((np.repeat(dsts[stalled[done]], count),
+                                np.array(found, dtype=np.int64).reshape(-1, 3)[rows]))
+    return _Outcomes(greedy, hops, Counter(dict(zip(causes, failed.tolist()))), episodes)
+
+
+def _budgets(key: np.ndarray, prefix: np.ndarray, ttl: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys, ascending, each with the largest ttl - prefix of its pairs."""
+    keys, at = np.unique(key, return_inverse=True)
+    least = np.full(len(keys), ttl, dtype=np.int64)
+    np.minimum.at(least, at, prefix)
+    return keys, ttl - least
 
 
 def _engine(sc: Scenario, dst: int, dfield: np.ndarray):
-    """The recovery protocol's per-pair engine toward dst, as a function of src.
+    """The recovery protocol's engine toward dst, as a function of (start node, TTL).
 
-    Engines are called by this module's names so they can be traced.
+    Called at the node where a greedy walk stalled, with the hops the walk
+    left, it is the continuation of every route that stalled there; called
+    at a source with the whole TTL, it is that source's route.  Engines are
+    called by this module's names, with (src, dst) first, so they can be
+    traced.
     """
     spec = sc.config.spec
     t = sc.topology
-    ttl = sc.ctx.ttl
     if spec.recovery == Recovery.PERIMETER:
         faces = sc.ctx.faces(spec.planar)
-        return lambda src: gpsr_route(src, dst, dfield, faces, t, ttl)
+        return lambda src, ttl: gpsr_route(src, dst, dfield, faces, t, ttl)
     if spec.recovery == Recovery.BACKTRACK:
-        return lambda src: lcr_route(src, dst, dfield, t, ttl)
+        return lambda src, ttl: lcr_route(src, dst, dfield, t, ttl)
     trees = sc.ctx.beacons
-    return lambda src: bvr_route(src, dst, dfield, trees, t, ttl)
+    return lambda src, ttl: bvr_route(src, dst, dfield, trees, t, ttl)
 
 
 def _episodes(rr):

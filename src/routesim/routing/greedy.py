@@ -11,9 +11,14 @@ is this loop plus at most one episode.  For bulk evaluation the same rule,
 outcome included, runs vectorized: ``greedy_successors`` and ``greedy_walks``
 resolve every node's walk toward one destination at once, and
 ``greedy_lockstep`` advances a set of (src, dst) pairs one hop per step.
-Both bulk kernels return two arrays, (delivered, hops), with hops capped at
-the TTL: a pair that was not delivered was cut by the TTL if and only if its
-hops equal the TTL, and is stuck at a local minimum otherwise.
+Both bulk kernels return three arrays, (delivered, hops, stop), with hops
+capped at the TTL.  A walk that was not delivered was cut by the TTL if and
+only if its hops equal the TTL, and is stuck at a local minimum otherwise;
+``stop`` is then that local minimum, the last node of greedy_route's path.
+A recovery engine resumed there with the hops left is the rest of the
+route, so the harness runs recovery from ``stop`` instead of from the
+source.  ``stop`` is the destination of a delivered walk and carries no
+meaning for a walk cut by the TTL.
 """
 
 from __future__ import annotations
@@ -102,8 +107,8 @@ def greedy_successors(dfield: np.ndarray, t: Topology, dst: int) -> np.ndarray:
     return succ
 
 
-def greedy_walks(succ: np.ndarray, dst: int, ttl: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node (delivered?, hops), by pointer jumping; hops are capped at the TTL.
+def greedy_walks(succ: np.ndarray, dst: int, ttl: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-node (delivered?, hops, stop), by pointer jumping; hops are capped at the TTL.
 
     Each round doubles how far every pointer reaches (Wyllie 1979).  Greedy
     successors strictly descend the distance field or hand over to dst, so
@@ -111,14 +116,15 @@ def greedy_walks(succ: np.ndarray, dst: int, ttl: int) -> tuple[np.ndarray, np.n
     Outcomes follow greedy_route: a walk is delivered when it reaches dst
     within the TTL; otherwise it was cut by the TTL when hops == ttl (a
     local minimum reached with the TTL spent included), and it stopped at a
-    local minimum when hops < ttl.
+    local minimum when hops < ttl.  ``stop`` is the final pointer: the root
+    of the node's tree, which is that local minimum or dst.
     """
     nxt = succ
     hops = (succ != np.arange(len(succ))).astype(np.int64)
     while True:
         jumped = nxt[nxt]
         if np.array_equal(jumped, nxt):
-            return (nxt == dst) & (hops <= ttl), np.minimum(hops, ttl)
+            return (nxt == dst) & (hops <= ttl), np.minimum(hops, ttl), nxt
         hops += hops[nxt]
         nxt = jumped
 
@@ -129,8 +135,8 @@ LOCKSTEP_BATCH = 1024
 
 
 def greedy_lockstep(srcs: np.ndarray, dsts: np.ndarray, coords: np.ndarray, targets: np.ndarray,
-                    field: FieldFn, t: Topology, ttl: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair (delivered?, hops) of greedy forwarding, one hop per step for all pairs.
+                    field: FieldFn, t: Topology, ttl: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-pair (delivered?, hops, stop) of greedy forwarding, one hop per step for all pairs.
 
     Node u compares ``coords[u]`` with ``targets[dst]`` under ``field``, the
     protocol's distance field function.  Each step evaluates the field on
@@ -142,12 +148,14 @@ def greedy_lockstep(srcs: np.ndarray, dsts: np.ndarray, coords: np.ndarray, targ
     distance and so never wins.  Ties go to the lowest id and a neighboring
     destination takes the packet directly, as in greedy_route.  There are at
     most ``ttl`` steps, so the TTL is checked before each hop and hops never
-    exceed it; outcomes are those of greedy_walks.
+    exceed it; outcomes are those of greedy_walks.  A pair's ``stop`` is
+    recorded as it leaves the live set without moving.
     """
     srcs = np.asarray(srcs, dtype=np.int64)
     dsts = np.asarray(dsts, dtype=np.int64)
     delivered = srcs == dsts
     hops = np.zeros(len(srcs), dtype=np.int64)
+    stop = dsts.copy()
     ids = t.neighbor_matrix()
     width = ids.shape[1]
     for lo in range(0, len(srcs), LOCKSTEP_BATCH):
@@ -170,11 +178,13 @@ def greedy_lockstep(srcs: np.ndarray, dsts: np.ndarray, coords: np.ndarray, targ
             nxt[near] = dst[near]
             moved = nxt >= 0      # else a local minimum: the walk stops here
             hops[live] = step + moved
+            stuck = ~moved
+            stop[live[stuck]] = cur[stuck]
             arrived = nxt == dst
             delivered[live[arrived]] = True
             go = moved & ~arrived
             live, cur, dst, here = live[go], nxt[go], dst[go], best[go]
-    return delivered, hops
+    return delivered, hops, stop
 
 
 def sp_route(src: int, dst: int, t: Topology) -> RouteResult:

@@ -136,10 +136,6 @@ class Topology:
         # alongside every metrics row.
         return 2.0 * self.n_edges / self.n
 
-    @property
-    def connected(self) -> bool:
-        return not self.component_labels().any()
-
     def component_labels(self) -> np.ndarray:
         """Per-node component label: the smallest node id in its component.
 

@@ -283,7 +283,7 @@ def test_criterion_8_depth_monotonicity():
 
 def _random_connected(seed, n=60, side=8.0, rng_range=1.6):
     t = build_udg(generate_random(n, side, side, seed=seed), rng_range)
-    return t if t.connected else None
+    return None if t.component_labels().any() else t
 
 
 def test_criterion_9a_bfs_lipschitz_100_topologies():

@@ -7,6 +7,10 @@ before their per-scenario tables: the face walk computed every edge angle
 with ``math.atan2`` on numpy rows at each hop, and the beacon climb searched
 each node's neighbors for its tree parent.  Whole RouteResults must match:
 path, modes, outcome and failure cause.
+
+Bulk evaluation resumes gpsr and bvr at the node where greedy stalled, once
+per (stall node, destination), and fans the outcome out to every pair that
+stalled there; its outcomes must be those of one ``route`` call per pair.
 """
 
 import math
@@ -17,9 +21,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from routesim.coords import AnchorSet, CoordsError, VirtualCoords, build_vcs, hop_counts
+from routesim.coords import AnchorSet, CoordsError, VirtualCoords, build_vcs, hop_counts, pair_hops
 from routesim.distance import euclidean_field
-from routesim.harness import Scenario, ScenarioConfig, fixture_abc
+from routesim.harness import Scenario, ScenarioConfig, _episodes, _eval_run, fixture_abc
 from routesim.routing import (
     METHOD_GG,
     METHOD_RNG,
@@ -35,6 +39,7 @@ from routesim.routing import (
     greedy_route,
     lcr_route,
     planarize,
+    route,
     sp_route,
 )
 from routesim.routing.planar import crossing_point
@@ -426,3 +431,68 @@ def test_parent_table_rejects_a_column_that_is_not_a_bfs_layering():
     bad[2, 0] = 3  # node 2 has no neighbor at 2 hops from anchor 0
     with pytest.raises(RuntimeError, match="not a BFS layering"):
         beacon_trees(VirtualCoords(bad, AnchorSet((0, 1, 2))), t)
+
+
+def _assert_eval_run_matches_routes(sc: Scenario) -> None:
+    """``_eval_run`` over every pair equals one ``route`` call per pair: greedy
+    flags, hops, failure counts, and the episodes in (dst, src) order."""
+    srcs, dsts, sp = sc.pairs
+    greedy, hops, failures, episodes = [], [], Counter(), []
+    for src, dst, reachable in zip(srcs.tolist(), dsts.tolist(), (sp >= 0).tolist()):
+        rr = route(sc.config.protocol, src, dst, sc.ctx) if reachable else None
+        greedy.append(rr is not None and rr.outcome == Outcome.DELIVERED_GREEDY)
+        hops.append(rr.hops if rr is not None and rr.delivered else 0)
+        if rr is None:
+            continue
+        if rr.delivered:
+            episodes.extend((dst, *ep) for ep in _episodes(rr))
+        else:
+            failures[rr.failure_cause] += 1
+    run = _eval_run(sc, 0, len(dsts))
+    assert run.greedy.tolist() == greedy
+    assert run.hops.tolist() == hops
+    assert +run.failures == failures
+    assert run.episodes.tolist() == [list(ep) for ep in episodes]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(protocol=st.sampled_from(("gpsr-gg", "gpsr-rng", "bvr", "lcr")), n=st.integers(8, 30),
+       radio_range=st.floats(1.2, 2.4), seed=st.integers(0, 10_000),
+       loc_error=st.sampled_from((0.0, 0.4)), ttl_factor=st.sampled_from((0.1, 0.25, 0.5, 1.0, 4.0)),
+       sample_per_node=st.sampled_from((0, 1, 3)))
+def test_resumed_evaluation_matches_per_pair_routes(protocol, n, radio_range, seed, loc_error,
+                                                    ttl_factor, sample_per_node):
+    """TTLs from 1 to a few hops cut continuations short of some of the pairs
+    that share them; all pairs route through greedy forests, sampled ones
+    mostly through greedy_lockstep.  Perceived positions give gpsr-rng
+    perimeter loops."""
+    cfg = ScenarioConfig(deployment="random", n=n, width=6.0, height=6.0,
+                         radio_range=radio_range, protocol=protocol, seed=seed,
+                         loc_error=loc_error, ttl_factor=ttl_factor, align_depth=1,
+                         sample=sample_per_node * n)
+    try:
+        sc = Scenario.build(cfg)
+    except CoordsError:  # virtual coordinates need a connected graph
+        assume(False)
+    _assert_eval_run_matches_routes(sc)
+
+
+def test_shared_continuation_fits_one_source_and_not_the_other():
+    """Sources 45 and 43 stall at node 37 toward 33 after 1 and 2 greedy hops.
+    The continuation from 37 takes 4 hops: exactly what 45 has left under the
+    TTL of 5, one more than 43 has left."""
+    cfg = ScenarioConfig(deployment="grid", rows=8, cols=8, radio_range=1.5,
+                         voids=(VoidSpec("disc", (3.5, 3.5), radius=2.0),),
+                         protocol="gpsr-rng", loc_error=0.4, seed=7, ttl_factor=0.5)
+    sc = Scenario.build(cfg)
+    assert sc.ctx.ttl == 5
+    fits, cut = (route("gpsr-rng", src, 33, sc.ctx) for src in (45, 43))
+    assert fits.path[1] == 37 and fits.modes[:2] == (Mode.GREEDY, Mode.PERIMETER)
+    assert cut.path[2] == 37 and cut.modes[:3] == (Mode.GREEDY, Mode.GREEDY, Mode.PERIMETER)
+    assert fits.delivered and fits.hops == 5
+    assert cut.failure_cause == Failure.TTL_EXCEEDED
+    # All pairs go through greedy forests; the two pairs alone through lockstep.
+    _assert_eval_run_matches_routes(sc)
+    srcs, dsts = np.array([43, 45]), np.array([33, 33])
+    sc.pairs = (srcs, dsts, pair_hops(sc.topology, srcs, dsts))
+    _assert_eval_run_matches_routes(sc)

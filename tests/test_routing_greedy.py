@@ -120,20 +120,24 @@ def test_engine_matches_vectorized_successors():
         for dst in rng.integers(0, t.n, 15):
             dst = int(dst)
             dfield = sc.ctx.dfield(cfg.protocol, dst)
-            ok, hops = greedy_walks(greedy_successors(dfield, t, dst), dst, ttl)
+            ok, hops, stop = greedy_walks(greedy_successors(dfield, t, dst), dst, ttl)
             srcs = rng.integers(0, t.n, 40)
             stepped = zip(*greedy_lockstep(srcs, np.full(len(srcs), dst),
                                            *sc.ctx.field_inputs(cfg.protocol), t, ttl))
-            for src, (step_ok, step_hops) in zip(srcs.tolist(), stepped):
+            for src, (step_ok, step_hops, step_stop) in zip(srcs.tolist(), stepped):
                 if src == dst:
                     continue
                 rr = greedy_route(src, dst, dfield, t, ttl)
                 assert rr.delivered == ok[src] == step_ok
                 # hops to dst or to the local minimum, cut off at the TTL
                 assert rr.hops == hops[src] == step_hops <= ttl
-                if not ok[src]:
+                if rr.delivered:
+                    assert stop[src] == step_stop == dst
+                else:
                     cut = hops[src] == ttl
                     assert rr.failure_cause == (Failure.TTL_EXCEEDED if cut else Failure.LOCAL_MINIMUM)
+                    if not cut:  # where recovery resumes
+                        assert stop[src] == step_stop == rr.path[-1]
                     seen["ttl" if cut else "minimum"] += 1
                 seen["long"] += int(hops[src] > 64)
     assert min(seen["ttl"], seen["minimum"], seen["long"]) > 0
@@ -147,7 +151,11 @@ def test_engine_matches_vectorized_successors():
        pairs=st.sampled_from((1, 7, LOCKSTEP_BATCH - 1, LOCKSTEP_BATCH, 2 * LOCKSTEP_BATCH + 3)))
 def test_lockstep_matches_greedy_walks(grid, side, radio_range, seed, protocol, loc_error,
                                        distance, ttl_factor, pairs):
-    """Grids give integer coordinate ties; batch-sized pair counts cross a batch boundary."""
+    """Grids give integer coordinate ties; batch-sized pair counts cross a batch boundary.
+
+    Both kernels stop an undelivered walk short of the TTL at the last node
+    of greedy_route's path, the node recovery resumes from.
+    """
     layout = (dict(deployment="grid", rows=side, cols=side + 2) if grid else
               dict(deployment="random", n=side * (side + 2), width=6.0, height=6.0))
     cfg = ScenarioConfig(radio_range=radio_range, protocol=protocol, seed=seed,
@@ -161,14 +169,19 @@ def test_lockstep_matches_greedy_walks(grid, side, radio_range, seed, protocol, 
     rng = np.random.default_rng(seed)
     srcs = rng.integers(0, t.n, pairs)
     dsts = rng.integers(0, t.n, pairs)
-    ok, hops = greedy_lockstep(srcs, dsts, *sc.ctx.field_inputs(protocol), t, sc.ctx.ttl)
+    ttl = sc.ctx.ttl
+    ok, hops, stop = greedy_lockstep(srcs, dsts, *sc.ctx.field_inputs(protocol), t, ttl)
     for dst in np.unique(dsts).tolist():
-        walk_ok, walk_hops = greedy_walks(
-            greedy_successors(sc.ctx.dfield(protocol, dst), t, dst), dst, sc.ctx.ttl)
+        dfield = sc.ctx.dfield(protocol, dst)
+        walk_ok, walk_hops, walk_stop = greedy_walks(greedy_successors(dfield, t, dst), dst, ttl)
         at = np.flatnonzero(dsts == dst)
         src = srcs[at]
         assert np.array_equal(ok[at], walk_ok[src])
         assert np.array_equal(hops[at], walk_hops[src])
+        stalled = ~ok[at] & (hops[at] < ttl)
+        assert np.array_equal(stop[at][stalled], walk_stop[src][stalled])
+        for i in at[stalled].tolist():
+            assert stop[i] == greedy_route(int(srcs[i]), dst, dfield, t, ttl).path[-1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -177,8 +190,9 @@ def test_kernels_match_greedy_route_on_disconnected_graphs(data):
     """Hand-built, often disconnected graphs with tie-heavy one-column coordinates.
 
     Every ordered pair, src == dst included, under a TTL from 0 to 3n: both
-    kernels give greedy_route's delivery and hops, and an undelivered pair
-    was cut by the TTL exactly when its hops reached the TTL.
+    kernels give greedy_route's delivery and hops, an undelivered pair was
+    cut by the TTL exactly when its hops reached the TTL, and every other
+    pair stops where greedy_route's path ends.
     """
     n = data.draw(st.integers(1, 12))
     node = st.integers(0, n - 1)
@@ -194,19 +208,23 @@ def test_kernels_match_greedy_route_on_disconnected_graphs(data):
     ttl = data.draw(st.integers(0, 3 * n))
     srcs = np.repeat(np.arange(n), n)
     dsts = np.tile(np.arange(n), n)
-    step_ok, step_hops = (a.reshape(n, n) for a in
-                          greedy_lockstep(srcs, dsts, coords, coords, field, t, ttl))
+    step_ok, step_hops, step_stop = (a.reshape(n, n) for a in
+                                     greedy_lockstep(srcs, dsts, coords, coords, field, t, ttl))
     for dst in range(n):
         dfield = field(coords, coords[dst])
-        walk_ok, walk_hops = greedy_walks(greedy_successors(dfield, t, dst), dst, ttl)
+        walks = greedy_walks(greedy_successors(dfield, t, dst), dst, ttl)
         routes = [greedy_route(src, dst, dfield, t, ttl) for src in range(n)]
         ok = np.array([rr.delivered for rr in routes])
         hops = np.array([rr.hops for rr in routes])
+        last = np.array([rr.path[-1] for rr in routes])
         cut = np.array([rr.failure_cause == Failure.TTL_EXCEEDED for rr in routes])
-        for kernel_ok, kernel_hops in ((step_ok[:, dst], step_hops[:, dst]), (walk_ok, walk_hops)):
+        for kernel_ok, kernel_hops, kernel_stop in (
+                (step_ok[:, dst], step_hops[:, dst], step_stop[:, dst]), walks):
             assert np.array_equal(kernel_ok, ok)
             assert np.array_equal(kernel_hops, hops)
             assert np.array_equal(~kernel_ok & (kernel_hops >= ttl), cut)
+            # delivered walks stop at dst, stalled ones where greedy_route ends
+            assert np.array_equal(kernel_stop[ok | ~cut], last[ok | ~cut])
 
 
 def test_sp_route_basics():

@@ -414,7 +414,7 @@ def test_component_labels_match_networkx(case):
     for component in nx.connected_components(g):
         expect[list(component)] = min(component)
     assert np.array_equal(t.component_labels(), expect)
-    assert t.connected == (nx.number_connected_components(g) == 1)
+    assert (not t.component_labels().any()) == (nx.number_connected_components(g) == 1)
 
 
 def test_component_labels_long_path_and_isolated_nodes():
@@ -430,5 +430,5 @@ def test_component_labels_long_path_and_isolated_nodes():
     assert (labels[path] == path[0]).all()
     isolated = sorted(set(range(n)) - set(order))
     assert labels[isolated].tolist() == isolated
-    assert not t.connected
-    assert topology_from_adjacency(np.zeros((1, 2)), [[]]).connected
+    assert t.component_labels().any()
+    assert not topology_from_adjacency(np.zeros((1, 2)), [[]]).component_labels().any()
