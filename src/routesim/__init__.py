@@ -22,7 +22,6 @@ from routesim.coords import (
     VirtualCoords,
     AlignedCoords,
     corner_anchors,
-    hop_counts,
     build_vcs,
     align,
 )

@@ -240,15 +240,6 @@ def _node_ids(t: Topology, ids) -> np.ndarray:
     return ids
 
 
-def hop_counts(t: Topology, anchor: int) -> np.ndarray:
-    """Breadth-first hop distance from ``anchor`` to every node.
-
-    Unreachable nodes are marked -1; scenarios that rely on virtual
-    coordinates must treat any -1 as a configuration error.
-    """
-    return hop_rows(t, [anchor])[0].astype(np.int64)
-
-
 # Roots per pass of hop_diameter and seed_rows: one uint64 word per node.
 _WIDE = 64
 

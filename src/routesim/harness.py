@@ -29,7 +29,6 @@ from routesim.coords import (
     align,
     build_vcs,
     corner_anchors,
-    hop_counts,
     hop_diameter,
     hop_rows,
     pair_hops,
@@ -47,7 +46,7 @@ from routesim.routing import (
     gpsr_route,
     lcr_route,
 )
-from routesim.routing.greedy import greedy_lockstep, greedy_successors, greedy_walks
+from routesim.routing.greedy import greedy_forest, greedy_lockstep
 from routesim.topology import (
     Topology,
     TopologyError,
@@ -344,12 +343,14 @@ def _eval_run(sc: Scenario, lo: int, hi: int) -> _Outcomes:
     A destination's group is its run of pairs in the slice.  Greedy
     outcomes of every pair come from the bulk kernels: the sparse groups of
     the run share greedy_lockstep batches, each dense group gets its own
-    greedy forest.  A recovery protocol then resumes each pair that greedy
-    did not deliver where its greedy walk stopped, as ``_engine``'s
-    continuation: every engine is greedy_route plus an episode at a local
-    minimum and checks the TTL before each hop, so from the stall node u,
-    with the ttl - p hops a greedy prefix of p hops left, it routes the rest
-    of the pair's route.
+    greedy_forest.  Their ``stop`` alone tells the outcome: dst when greedy
+    delivered, the stall node u, or -1 when the TTL ended the walk (-1 too
+    for an unreachable pair, which no kernel routes).  A recovery protocol
+    then resumes each pair that greedy did not deliver where its greedy
+    walk stopped, as ``_engine``'s continuation: every engine is
+    greedy_route plus an episode at a local minimum and checks the TTL
+    before each hop, so from u, with the ttl - p hops a greedy prefix of p
+    hops left, it routes the rest of the pair's route.
 
     A gpsr or bvr continuation depends only on u, dst and its budget, so it
     runs once per (u, dst), with the largest budget among the pairs that
@@ -357,11 +358,11 @@ def _eval_run(sc: Scenario, lo: int, hi: int) -> _Outcomes:
     the pair's hops are p + c, with the continuation's outcome and episodes.
     Any other pair is ttl-exceeded, as its TTL check at ttl - p hops fires
     before the continuation ends.  lcr, whose search starts with the prefix
-    as its visited set, and a pair whose prefix used the whole TTL keep the
-    route from the source: the key is (src, dst) with p = 0.  Episodes come
-    out per pair in (dst, src) order.  A destination's field is built once,
-    only for a dense group or a stalled pair, and is released when the next
-    group's replaces it.
+    as its visited set, and a pair whose prefix used the whole TTL (stop
+    -1) keep the route from the source: the key is (src, dst) with p = 0.
+    Episodes come out per pair in (dst, src) order.  A destination's field
+    is built once, only for a dense group or a stalled pair, and is
+    released when the next group's replaces it.
     """
     spec = sc.config.spec
     t = sc.topology
@@ -376,26 +377,24 @@ def _eval_run(sc: Scenario, lo: int, hi: int) -> _Outcomes:
     bounds = np.flatnonzero(first).tolist() + [len(dsts)]
     sources = np.bincount(group_of[reach], minlength=len(bounds) - 1)
     lock = sources * sources < LOCKSTEP_CROSSOVER * t.n
-    greedy = np.zeros(len(sp), dtype=bool)
     hops = np.zeros(len(sp), dtype=np.int32)
-    stop = np.zeros(len(sp), dtype=np.int64)
+    stop = np.full(len(sp), -1, dtype=np.int64)
     pick = reach & lock[group_of]
-    if pick.any():
-        greedy[pick], hops[pick], stop[pick] = greedy_lockstep(
-            srcs[pick], dsts[pick], *sc.ctx.field_inputs(sc.config.protocol), t, ttl)
+    hops[pick], stop[pick] = greedy_lockstep(
+        srcs[pick], dsts[pick], *sc.ctx.field_inputs(sc.config.protocol), t, ttl)
     recover = spec.recovery != Recovery.NONE
     resume = spec.recovery != Recovery.BACKTRACK
 
     def keyed(pairs):
         """Each stalled pair's key, group * n + the node its continuation
         starts at, and the greedy prefix before that node."""
-        at = (hops[pairs] < ttl) & resume
+        at = (stop[pairs] >= 0) & resume
         return (group_of[pairs] * t.n + np.where(at, stop[pairs], srcs[pairs]),
                 np.where(at, hops[pairs], 0))
 
     active = ~lock
     if recover:
-        lock_keys, lock_budgets = _budgets(*keyed(np.flatnonzero(pick & ~greedy)), ttl)
+        lock_keys, lock_budgets = _budgets(*keyed(np.flatnonzero(pick & (stop != dsts))), ttl)
         key_bounds = np.searchsorted(lock_keys, np.arange(len(bounds)) * t.n)
         active[lock_keys // t.n] = True
     # One row per continuation, keys ascending: key, hops, failure code (-1
@@ -412,11 +411,10 @@ def _eval_run(sc: Scenario, lo: int, hi: int) -> _Outcomes:
             budgets = lock_budgets[key_bounds[g]:key_bounds[g + 1]]
         else:
             pairs = np.flatnonzero(reach[start:end]) + start
-            walks = greedy_walks(greedy_successors(dfield, t, dst), dst, ttl)
-            greedy[pairs], hops[pairs], stop[pairs] = (a[srcs[pairs]] for a in walks)
+            hops[pairs], stop[pairs] = (a[srcs[pairs]] for a in greedy_forest(dfield, t, dst, ttl))
             if not recover:
                 continue
-            keys, budgets = _budgets(*keyed(pairs[~greedy[pairs]]), ttl)
+            keys, budgets = _budgets(*keyed(pairs[stop[pairs] != dst]), ttl)
         engine = _engine(sc, dst, dfield)
         base = g * t.n
         for key, budget in zip(keys.tolist(), budgets.tolist()):
@@ -427,8 +425,9 @@ def _eval_run(sc: Scenario, lo: int, hi: int) -> _Outcomes:
                 ran.append((key, rr.hops, -1, len(episodes)))
             else:
                 ran.append((key, rr.hops, causes.setdefault(rr.failure_cause, len(causes)), 0))
+    greedy = stop == dsts
     if not recover:
-        timed = hops[reach & ~greedy] >= ttl   # hops are capped at the TTL
+        timed = stop[reach & ~greedy] < 0
         failures = Counter()
         failures[Failure.TTL_EXCEEDED] = int(np.count_nonzero(timed))
         failures[Failure.LOCAL_MINIMUM] = len(timed) - failures[Failure.TTL_EXCEEDED]
@@ -744,8 +743,10 @@ def distance_map(config: ScenarioConfig, dst: int) -> DistanceMap:
     if not 0 <= dst < sc.topology.n:
         raise ScenarioError(f"destination {dst} does not exist")
     dfield = sc.ctx.dfield(config.protocol, dst)
-    succ = greedy_successors(dfield, sc.topology, dst)
-    minima = tuple(int(u) for u in np.flatnonzero(succ == np.arange(len(succ))) if u != dst)
+    # A TTL of n cuts no walk, so every node whose walk stops at itself is
+    # dst or a local minimum.
+    stop = greedy_forest(dfield, sc.topology, dst, sc.topology.n)[1]
+    minima = tuple(int(u) for u in np.flatnonzero(stop == np.arange(len(stop))) if u != dst)
     shown = dfield.copy()
     shown[dst] = 0.0
     return DistanceMap(
@@ -814,7 +815,7 @@ def fixture_abc() -> tuple[Topology, VirtualCoords]:
         adj[u].append(v)
 
     scaffold = topology_from_adjacency(np.zeros((n_nodes, 2)), adj)
-    positions = _layered_positions(hop_counts(scaffold, ABC_A))
+    positions = _layered_positions(hop_rows(scaffold, [ABC_A])[0])
     t = topology_from_adjacency(positions, adj, radio_range=ABC_RADIO_RANGE)
     vc = build_vcs(t, AnchorSet((anchor1, anchor2, anchor3, anchor4)))
     for node, expected in ABC_VECTORS.items():

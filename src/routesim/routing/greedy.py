@@ -8,17 +8,16 @@ single-route calls and the harness's bulk evaluation.
 The greedy rule has three forms here.  ``greedy_route`` forwards one packet
 and hands every local minimum to an optional recovery episode; every protocol
 is this loop plus at most one episode.  For bulk evaluation the same rule,
-outcome included, runs vectorized: ``greedy_successors`` and ``greedy_walks``
-resolve every node's walk toward one destination at once, and
-``greedy_lockstep`` advances a set of (src, dst) pairs one hop per step.
-Both bulk kernels return three arrays, (delivered, hops, stop), with hops
-capped at the TTL.  A walk that was not delivered was cut by the TTL if and
-only if its hops equal the TTL, and is stuck at a local minimum otherwise;
-``stop`` is then that local minimum, the last node of greedy_route's path.
-A recovery engine resumed there with the hops left is the rest of the
-route, so the harness runs recovery from ``stop`` instead of from the
-source.  ``stop`` is the destination of a delivered walk and carries no
-meaning for a walk cut by the TTL.
+outcome included, runs vectorized: ``greedy_forest`` resolves every node's
+walk toward one destination at once, and ``greedy_lockstep`` advances a set
+of (src, dst) pairs one hop per step.  Both bulk kernels return two arrays,
+(hops, stop), with hops capped at the TTL, and ``stop`` alone says how each
+walk ended, as greedy_route would: it is the destination of a delivered
+walk, the local minimum (the last node of greedy_route's path) of a walk
+that stalled short of the TTL, and -1 for a walk that ended ttl-exceeded,
+a local minimum reached with the TTL spent included.  A recovery engine
+resumed at a local minimum with the hops left is the rest of the route, so
+the harness runs recovery from ``stop`` instead of from the source.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from routesim.coords import hop_counts
+from routesim.coords import hop_rows
 from routesim.distance import FieldFn
 from routesim.routing.result import Failure, Mode, Outcome, RouteResult, finish
 from routesim.topology import Topology
@@ -90,41 +89,32 @@ def greedy_route(src: int, dst: int, dfield: np.ndarray, t: Topology, ttl: int,
     return finish(src, dst, path, modes)
 
 
-def greedy_successors(dfield: np.ndarray, t: Topology, dst: int) -> np.ndarray:
-    """Every node's greedy next hop toward dst; local minima and dst point to themselves.
+def greedy_forest(dfield: np.ndarray, t: Topology, dst: int, ttl: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's greedy walk toward dst as (hops, stop), by pointer jumping.
 
-    Neighbor ids ascend within each row, so argmin's first-occurrence rule
-    matches greedy_next_hop's lowest-id tie-break exactly.  Nodes adjacent to
-    the destination hand the packet over directly, as greedy_next_hop does.
+    Each node points at its greedy next hop, local minima and dst at
+    themselves.  Neighbor ids ascend within each row, so argmin's
+    first-occurrence rule matches greedy_next_hop's lowest-id tie-break
+    exactly, and nodes adjacent to the destination hand the packet over
+    directly.  Each round doubles how far every pointer reaches (Wyllie
+    1979).  Successors strictly descend the distance field or hand over to
+    dst, so the forest has no cycles and the loop ends within ceil(log2 n)
+    rounds, at each node's root: dst or a local minimum.  ``stop`` is that
+    root where greedy_route ends there, as it does at dst within at most
+    ttl hops and at a local minimum within fewer; else it is -1.
     """
     ids = t.neighbor_matrix()
     vals = dfield[ids]            # a pad is the node itself, never strictly closer
     am = np.argmin(vals, axis=1)
     rows = np.arange(t.n)
-    succ = np.where(vals[rows, am] < dfield, ids[rows, am], rows)
-    succ[t.indices[t.indptr[dst]:t.indptr[dst + 1]]] = dst
-    succ[dst] = dst
-    return succ
-
-
-def greedy_walks(succ: np.ndarray, dst: int, ttl: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-node (delivered?, hops, stop), by pointer jumping; hops are capped at the TTL.
-
-    Each round doubles how far every pointer reaches (Wyllie 1979).  Greedy
-    successors strictly descend the distance field or hand over to dst, so
-    the forest has no cycles and the loop ends within ceil(log2 n) rounds.
-    Outcomes follow greedy_route: a walk is delivered when it reaches dst
-    within the TTL; otherwise it was cut by the TTL when hops == ttl (a
-    local minimum reached with the TTL spent included), and it stopped at a
-    local minimum when hops < ttl.  ``stop`` is the final pointer: the root
-    of the node's tree, which is that local minimum or dst.
-    """
-    nxt = succ
-    hops = (succ != np.arange(len(succ))).astype(np.int64)
+    nxt = np.where(vals[rows, am] < dfield, ids[rows, am], rows)
+    nxt[t.indices[t.indptr[dst]:t.indptr[dst + 1]]] = dst
+    nxt[dst] = dst
+    hops = (nxt != rows).astype(np.int64)
     while True:
         jumped = nxt[nxt]
         if np.array_equal(jumped, nxt):
-            return (nxt == dst) & (hops <= ttl), np.minimum(hops, ttl), nxt
+            return np.minimum(hops, ttl), np.where(hops < ttl + (nxt == dst), nxt, -1)
         hops += hops[nxt]
         nxt = jumped
 
@@ -135,8 +125,8 @@ LOCKSTEP_BATCH = 1024
 
 
 def greedy_lockstep(srcs: np.ndarray, dsts: np.ndarray, coords: np.ndarray, targets: np.ndarray,
-                    field: FieldFn, t: Topology, ttl: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pair (delivered?, hops, stop) of greedy forwarding, one hop per step for all pairs.
+                    field: FieldFn, t: Topology, ttl: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair (hops, stop) of greedy forwarding, one hop per step for all pairs.
 
     Node u compares ``coords[u]`` with ``targets[dst]`` under ``field``, the
     protocol's distance field function.  Each step evaluates the field on
@@ -148,18 +138,18 @@ def greedy_lockstep(srcs: np.ndarray, dsts: np.ndarray, coords: np.ndarray, targ
     distance and so never wins.  Ties go to the lowest id and a neighboring
     destination takes the packet directly, as in greedy_route.  There are at
     most ``ttl`` steps, so the TTL is checked before each hop and hops never
-    exceed it; outcomes are those of greedy_walks.  A pair's ``stop`` is
-    recorded as it leaves the live set without moving.
+    exceed it; outcomes are those of greedy_forest.  ``stop`` starts as the
+    destination; a pair records its node as it leaves the live set without
+    moving, and the pairs of a batch still live after its last step get -1.
     """
     srcs = np.asarray(srcs, dtype=np.int64)
     dsts = np.asarray(dsts, dtype=np.int64)
-    delivered = srcs == dsts
     hops = np.zeros(len(srcs), dtype=np.int64)
     stop = dsts.copy()
     ids = t.neighbor_matrix()
     width = ids.shape[1]
     for lo in range(0, len(srcs), LOCKSTEP_BATCH):
-        live = lo + np.flatnonzero(~delivered[lo:lo + LOCKSTEP_BATCH])
+        live = lo + np.flatnonzero(srcs[lo:lo + LOCKSTEP_BATCH] != dsts[lo:lo + LOCKSTEP_BATCH])
         cur = srcs[live]
         dst = dsts[live]
         here = field(coords[cur], targets[dst])
@@ -180,11 +170,10 @@ def greedy_lockstep(srcs: np.ndarray, dsts: np.ndarray, coords: np.ndarray, targ
             hops[live] = step + moved
             stuck = ~moved
             stop[live[stuck]] = cur[stuck]
-            arrived = nxt == dst
-            delivered[live[arrived]] = True
-            go = moved & ~arrived
+            go = moved & (nxt != dst)
             live, cur, dst, here = live[go], nxt[go], dst[go], best[go]
-    return delivered, hops, stop
+        stop[live] = -1           # still walking with the TTL spent
+    return hops, stop
 
 
 def sp_route(src: int, dst: int, t: Topology) -> RouteResult:
@@ -193,7 +182,7 @@ def sp_route(src: int, dst: int, t: Topology) -> RouteResult:
     Greedy descent of the hop-count field with ties to the lowest id, so the
     route is deterministic; it is at most n - 1 hops, under the TTL of n.
     """
-    dist = hop_counts(t, dst)
+    dist = hop_rows(t, [dst])[0]
     if dist[src] < 0:
         return RouteResult(src, dst, (src,), (), Outcome.FAILED, None)  # cross-component
     return greedy_route(src, dst, dist, t, t.n)

@@ -14,7 +14,7 @@ from routesim.coords import (
     build_vcs,
     corner_anchors,
     format_coords,
-    hop_counts,
+    hop_rows,
     seed_rows,
 )
 from routesim.topology import (
@@ -34,7 +34,7 @@ def grid_topology(rows=20, cols=20):
 
 def test_hop_counts_self_and_neighbor():
     t = grid_topology(5, 5)
-    h = hop_counts(t, 0)
+    h = hop_rows(t, [0])[0]
     assert h[0] == 0
     for v in t.adjacency[0]:
         assert h[v] == 1
@@ -42,7 +42,7 @@ def test_hop_counts_self_and_neighbor():
 
 def test_hop_counts_grid_equals_manhattan():
     t = grid_topology()
-    h = hop_counts(t, 0)  # corner cell (0, 0)
+    h = hop_rows(t, [0])[0]  # corner cell (0, 0)
     for node in range(t.n):
         i, j = node % 20, node // 20
         assert h[node] == i + j
@@ -53,7 +53,7 @@ def test_hop_counts_unreachable_flagged():
         np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0], [6.0, 0.0]]),
         [[1], [], [3], []],
     )
-    h = hop_counts(t, 0)
+    h = hop_rows(t, [0])[0]
     assert h[1] == 1 and h[2] == -1 and h[3] == -1
 
 

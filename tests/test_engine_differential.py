@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from routesim.coords import AnchorSet, CoordsError, VirtualCoords, build_vcs, hop_counts, pair_hops
+from routesim.coords import AnchorSet, CoordsError, VirtualCoords, build_vcs, hop_rows, pair_hops
 from routesim.distance import euclidean_field
 from routesim.harness import Scenario, ScenarioConfig, _episodes, _eval_run, fixture_abc
 from routesim.routing import (
@@ -83,7 +83,7 @@ def _reference_lcr_route(src: int, dst: int, dfield: np.ndarray, t: Topology, tt
 
 
 def _reference_sp_route(src: int, dst: int, t: Topology) -> RouteResult:
-    dist = hop_counts(t, dst)
+    dist = hop_rows(t, [dst])[0]
     if dist[src] < 0:
         return RouteResult(src, dst, (src,), (), "failed", None)  # cross-component
     path = [src]

@@ -35,7 +35,7 @@ from routesim.harness import (
     sweep,
 )
 from routesim.routing import (PROTOCOL_SPECS, PROTOCOLS, CoordSource, Mode, Outcome,
-                              RoutingContext, route)
+                              RoutingContext, greedy_next_hop, route)
 from routesim.topology import TopologyError, VoidSpec
 
 from coords_checks import check_edge_lipschitz
@@ -363,6 +363,27 @@ def test_distance_map_fixture():
     assert csv[0] == "x,y,dist,is_local_min"
     assert len(csv) == 1 + 400
     assert sum(1 for ln in csv[1:] if ln.split(",")[2] == "0.000000") == 1
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(grid=st.booleans(), side=st.integers(3, 8), radio_range=st.floats(1.0, 2.4),
+       seed=st.integers(0, 10_000), protocol=st.sampled_from(("gf-vcs", "gf-avcs", "gf-geo")),
+       loc_error=st.sampled_from((0.0, 0.4)), data=st.data())
+def test_distance_map_minima_are_nodes_without_a_greedy_next_hop(grid, side, radio_range, seed,
+                                                                 protocol, loc_error, data):
+    layout = (dict(deployment="grid", rows=side, cols=side + 2) if grid else
+              dict(deployment="random", n=side * (side + 2), width=6.0, height=6.0))
+    cfg = ScenarioConfig(radio_range=radio_range, protocol=protocol, seed=seed,
+                         loc_error=loc_error, align_depth=1, **layout)
+    try:
+        sc = Scenario.routing(cfg)
+    except CoordsError:  # virtual coordinates need a connected graph
+        assume(False)
+    t = sc.topology
+    dst = data.draw(st.integers(0, t.n - 1))
+    dfield = sc.ctx.dfield(protocol, dst)
+    want = tuple(u for u in range(t.n) if u != dst and greedy_next_hop(u, dfield, t, dst) is None)
+    assert distance_map(cfg, dst).local_minima == want
 
 
 def test_distance_map_bad_destination():

@@ -13,7 +13,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from routesim import coords, harness
 from routesim.coords import (
-    AnchorSet, CoordsError, build_vcs, corner_anchors, hop_counts, hop_diameter, hop_rows, pair_hops, seed_rows,
+    AnchorSet, CoordsError, build_vcs, corner_anchors, hop_diameter, hop_rows, pair_hops, seed_rows,
 )
 from routesim.topology import Topology, build_udg, generate_grid, generate_random, topology_from_adjacency
 
@@ -263,7 +263,7 @@ def test_pair_hops_hub_path_and_isolated_nodes():
 def test_long_path_counts_past_255_hops():
     n = 600
     t = _topology(n, [(i, i + 1) for i in range(n - 1)])
-    assert np.array_equal(hop_counts(t, 0), np.arange(n))
+    assert np.array_equal(hop_rows(t, [0]), [np.arange(n)])
     assert pair_hops(t, [0, n - 1, 17], [n - 1, 0, 17]).tolist() == [n - 1, n - 1, 0]
     assert hop_diameter(t) == n - 1
     # Seed rows from node 300 (eccentricity 300) and node 1 (598) leave only
@@ -283,23 +283,20 @@ def test_pair_hops_empty_and_isolated():
     assert hop_diameter(empty) == 0
 
 
-def test_hop_counts_int64_minus_one_and_bad_anchor():
-    t = _topology(4, [(0, 1), (2, 3)])
-    h = hop_counts(t, 1)
-    assert h.dtype == np.int64 and h.tolist() == [1, 0, -1, -1]
-    for bad in (-1, 4):
-        with pytest.raises(CoordsError):
-            hop_counts(t, bad)
+def test_hop_rows_one_root_int32_minus_one():
+    # A bad root alone is the hop_rows_one_root case below.
+    h = hop_rows(_topology(4, [(0, 1), (2, 3)]), [1])
+    assert h.dtype == np.int32 and h.tolist() == [[1, 0, -1, -1]]
 
 
 @pytest.mark.parametrize("bad", [-1, 4])
 @pytest.mark.parametrize("entry", [
-    lambda t, bad: hop_counts(t, bad),
+    lambda t, bad: hop_rows(t, [bad]),
     lambda t, bad: hop_rows(t, [0, bad]),
     lambda t, bad: pair_hops(t, [0, bad], [1, 1]),
     lambda t, bad: pair_hops(t, [1, 1], [0, bad]),
     lambda t, bad: build_vcs(t, AnchorSet((0, 1, bad))),
-], ids=["hop_counts", "hop_rows", "pair_hops_srcs", "pair_hops_dsts", "build_vcs"])
+], ids=["hop_rows_one_root", "hop_rows", "pair_hops_srcs", "pair_hops_dsts", "build_vcs"])
 def test_oracle_rejects_ids_outside_the_graph(entry, bad):
     # Unchecked, -1 read node n-1's row and n raised numpy's IndexError.
     t = _topology(4, [(0, 1), (1, 2), (2, 3)])

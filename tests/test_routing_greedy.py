@@ -13,7 +13,7 @@ from routesim.routing import (
     greedy_route,
     sp_route,
 )
-from routesim.routing.greedy import LOCKSTEP_BATCH, greedy_lockstep, greedy_successors, greedy_walks
+from routesim.routing.greedy import LOCKSTEP_BATCH, greedy_forest, greedy_lockstep
 from routesim.topology import (
     VoidSpec,
     build_udg,
@@ -102,6 +102,12 @@ def test_greedy_monotone_and_no_revisit():
                 assert dfield[b] <= dfield[a]
 
 
+def _stop(rr) -> int:
+    """The bulk kernels' ``stop`` for greedy_route's result: dst when
+    delivered, the local minimum where the path ends, -1 when ttl-exceeded."""
+    return -1 if rr.failure_cause == Failure.TTL_EXCEEDED else rr.path[-1]
+
+
 def test_engine_matches_vectorized_successors():
     short = ScenarioConfig(deployment="random", n=120, width=10, height=10,
                            radio_range=1.6, protocol="gf-vcs", seed=9)
@@ -120,25 +126,20 @@ def test_engine_matches_vectorized_successors():
         for dst in rng.integers(0, t.n, 15):
             dst = int(dst)
             dfield = sc.ctx.dfield(cfg.protocol, dst)
-            ok, hops, stop = greedy_walks(greedy_successors(dfield, t, dst), dst, ttl)
+            hops, stop = greedy_forest(dfield, t, dst, ttl)
             srcs = rng.integers(0, t.n, 40)
             stepped = zip(*greedy_lockstep(srcs, np.full(len(srcs), dst),
                                            *sc.ctx.field_inputs(cfg.protocol), t, ttl))
-            for src, (step_ok, step_hops, step_stop) in zip(srcs.tolist(), stepped):
+            for src, (step_hops, step_stop) in zip(srcs.tolist(), stepped):
                 if src == dst:
                     continue
                 rr = greedy_route(src, dst, dfield, t, ttl)
-                assert rr.delivered == ok[src] == step_ok
+                # dst, the local minimum where recovery resumes, or -1 when cut
+                assert stop[src] == step_stop == _stop(rr)
                 # hops to dst or to the local minimum, cut off at the TTL
                 assert rr.hops == hops[src] == step_hops <= ttl
-                if rr.delivered:
-                    assert stop[src] == step_stop == dst
-                else:
-                    cut = hops[src] == ttl
-                    assert rr.failure_cause == (Failure.TTL_EXCEEDED if cut else Failure.LOCAL_MINIMUM)
-                    if not cut:  # where recovery resumes
-                        assert stop[src] == step_stop == rr.path[-1]
-                    seen["ttl" if cut else "minimum"] += 1
+                if not rr.delivered:
+                    seen["ttl" if rr.failure_cause == Failure.TTL_EXCEEDED else "minimum"] += 1
                 seen["long"] += int(hops[src] > 64)
     assert min(seen["ttl"], seen["minimum"], seen["long"]) > 0
 
@@ -149,12 +150,12 @@ def test_engine_matches_vectorized_successors():
        loc_error=st.sampled_from((0.0, 0.4)), distance=st.sampled_from(("euclid", "manhattan", "semi")),
        ttl_factor=st.sampled_from((0.6, 1.0, 4.0)),
        pairs=st.sampled_from((1, 7, LOCKSTEP_BATCH - 1, LOCKSTEP_BATCH, 2 * LOCKSTEP_BATCH + 3)))
-def test_lockstep_matches_greedy_walks(grid, side, radio_range, seed, protocol, loc_error,
-                                       distance, ttl_factor, pairs):
+def test_lockstep_matches_greedy_forest(grid, side, radio_range, seed, protocol, loc_error,
+                                        distance, ttl_factor, pairs):
     """Grids give integer coordinate ties; batch-sized pair counts cross a batch boundary.
 
-    Both kernels stop an undelivered walk short of the TTL at the last node
-    of greedy_route's path, the node recovery resumes from.
+    Both kernels give every pair greedy_route's hops and end: dst, the last
+    node of its path (where recovery resumes), or -1 when the TTL cut it.
     """
     layout = (dict(deployment="grid", rows=side, cols=side + 2) if grid else
               dict(deployment="random", n=side * (side + 2), width=6.0, height=6.0))
@@ -170,18 +171,17 @@ def test_lockstep_matches_greedy_walks(grid, side, radio_range, seed, protocol, 
     srcs = rng.integers(0, t.n, pairs)
     dsts = rng.integers(0, t.n, pairs)
     ttl = sc.ctx.ttl
-    ok, hops, stop = greedy_lockstep(srcs, dsts, *sc.ctx.field_inputs(protocol), t, ttl)
+    hops, stop = greedy_lockstep(srcs, dsts, *sc.ctx.field_inputs(protocol), t, ttl)
     for dst in np.unique(dsts).tolist():
         dfield = sc.ctx.dfield(protocol, dst)
-        walk_ok, walk_hops, walk_stop = greedy_walks(greedy_successors(dfield, t, dst), dst, ttl)
+        forest_hops, forest_stop = greedy_forest(dfield, t, dst, ttl)
         at = np.flatnonzero(dsts == dst)
         src = srcs[at]
-        assert np.array_equal(ok[at], walk_ok[src])
-        assert np.array_equal(hops[at], walk_hops[src])
-        stalled = ~ok[at] & (hops[at] < ttl)
-        assert np.array_equal(stop[at][stalled], walk_stop[src][stalled])
-        for i in at[stalled].tolist():
-            assert stop[i] == greedy_route(int(srcs[i]), dst, dfield, t, ttl).path[-1]
+        assert np.array_equal(hops[at], forest_hops[src])
+        assert np.array_equal(stop[at], forest_stop[src])
+        for u in np.unique(src).tolist():
+            rr = greedy_route(u, dst, dfield, t, ttl)
+            assert forest_stop[u] == _stop(rr) and forest_hops[u] == rr.hops
 
 
 @settings(max_examples=200, deadline=None)
@@ -190,9 +190,9 @@ def test_kernels_match_greedy_route_on_disconnected_graphs(data):
     """Hand-built, often disconnected graphs with tie-heavy one-column coordinates.
 
     Every ordered pair, src == dst included, under a TTL from 0 to 3n: both
-    kernels give greedy_route's delivery and hops, an undelivered pair was
-    cut by the TTL exactly when its hops reached the TTL, and every other
-    pair stops where greedy_route's path ends.
+    kernels give greedy_route's hops, and a stop of dst exactly when it
+    delivers, -1 exactly when it ends ttl-exceeded, and otherwise the local
+    minimum where its path ends.
     """
     n = data.draw(st.integers(1, 12))
     node = st.integers(0, n - 1)
@@ -208,23 +208,17 @@ def test_kernels_match_greedy_route_on_disconnected_graphs(data):
     ttl = data.draw(st.integers(0, 3 * n))
     srcs = np.repeat(np.arange(n), n)
     dsts = np.tile(np.arange(n), n)
-    step_ok, step_hops, step_stop = (a.reshape(n, n) for a in
-                                     greedy_lockstep(srcs, dsts, coords, coords, field, t, ttl))
+    step_hops, step_stop = (a.reshape(n, n) for a in
+                            greedy_lockstep(srcs, dsts, coords, coords, field, t, ttl))
     for dst in range(n):
         dfield = field(coords, coords[dst])
-        walks = greedy_walks(greedy_successors(dfield, t, dst), dst, ttl)
         routes = [greedy_route(src, dst, dfield, t, ttl) for src in range(n)]
-        ok = np.array([rr.delivered for rr in routes])
         hops = np.array([rr.hops for rr in routes])
-        last = np.array([rr.path[-1] for rr in routes])
-        cut = np.array([rr.failure_cause == Failure.TTL_EXCEEDED for rr in routes])
-        for kernel_ok, kernel_hops, kernel_stop in (
-                (step_ok[:, dst], step_hops[:, dst], step_stop[:, dst]), walks):
-            assert np.array_equal(kernel_ok, ok)
+        end = np.array([_stop(rr) for rr in routes])
+        for kernel_hops, kernel_stop in ((step_hops[:, dst], step_stop[:, dst]),
+                                         greedy_forest(dfield, t, dst, ttl)):
             assert np.array_equal(kernel_hops, hops)
-            assert np.array_equal(~kernel_ok & (kernel_hops >= ttl), cut)
-            # delivered walks stop at dst, stalled ones where greedy_route ends
-            assert np.array_equal(kernel_stop[ok | ~cut], last[ok | ~cut])
+            assert np.array_equal(kernel_stop, end)
 
 
 def test_sp_route_basics():
