@@ -55,6 +55,11 @@ VARIANTS = (
     # same destination: bvr has 112,898 stalled pairs on 5,692 (stall node,
     # destination) keys.
     *(({"protocol": p, "loc_error": 0.4}, (["eval"],)) for p in ("gpsr-rng", "bvr")),
+    # A TTL below the hop diameter: the TTL cuts greedy prefixes and
+    # continuations, sampled and over all pairs.
+    *(({"protocol": p, "loc_error": 0.4, "ttl_factor": 0.6},
+       (["--sample", "2000", "eval"], ["eval"]) if p != "lcr" else (["--sample", "2000", "eval"],))
+      for p in ("gpsr-rng", "bvr", "lcr")),
     # A grid split in two by a void strip: 72,000 of its 144,020 ordered
     # pairs cross between the halves and are excluded from the metrics.
     *(({"protocol": p, "voids": SPLIT_VOID, "loc_error": 0.4}, (["eval"], ["--sample", "2000", "eval"]))
