@@ -352,11 +352,11 @@ def _eval_run(sc: Scenario, lo: int, hi: int) -> _Outcomes:
     before each hop, so from u, with the ttl - p hops a greedy prefix of p
     hops left, it routes the rest of the pair's route.
 
-    A gpsr or bvr continuation depends only on u, dst and its budget, so it
-    runs once per (u, dst), with the largest budget among the pairs that
-    stalled at u.  Its c hops then hold for each of them with c <= ttl - p:
-    the pair's hops are p + c, with the continuation's outcome and episodes.
-    Any other pair is ttl-exceeded, as its TTL check at ttl - p hops fires
+    A gpsr or bvr continuation is ``route`` from u, under the whole TTL, so
+    it depends only on u and dst and runs once per (u, dst).  Its c hops
+    then hold for each pair that stalled at u with c <= ttl - p: the pair's
+    hops are p + c, with the continuation's outcome and episodes.  Any
+    other pair is ttl-exceeded, as its TTL check at ttl - p hops fires
     before the continuation ends.  lcr, whose search starts with the prefix
     as its visited set, and a pair whose prefix used the whole TTL (stop
     -1) keep the route from the source: the key is (src, dst) with p = 0.
@@ -394,7 +394,7 @@ def _eval_run(sc: Scenario, lo: int, hi: int) -> _Outcomes:
 
     active = ~lock
     if recover:
-        lock_keys, lock_budgets = _budgets(*keyed(np.flatnonzero(pick & (stop != dsts))), ttl)
+        lock_keys = np.unique(keyed(np.flatnonzero(pick & (stop != dsts)))[0])
         key_bounds = np.searchsorted(lock_keys, np.arange(len(bounds)) * t.n)
         active[lock_keys // t.n] = True
     # One row per continuation, keys ascending: key, hops, failure code (-1
@@ -408,17 +408,16 @@ def _eval_run(sc: Scenario, lo: int, hi: int) -> _Outcomes:
         dfield = sc.ctx.dfield(sc.config.protocol, dst)
         if lock[g]:
             keys = lock_keys[key_bounds[g]:key_bounds[g + 1]]
-            budgets = lock_budgets[key_bounds[g]:key_bounds[g + 1]]
         else:
             pairs = np.flatnonzero(reach[start:end]) + start
             hops[pairs], stop[pairs] = (a[srcs[pairs]] for a in greedy_forest(dfield, t, dst, ttl))
             if not recover:
                 continue
-            keys, budgets = _budgets(*keyed(pairs[stop[pairs] != dst]), ttl)
+            keys = np.unique(keyed(pairs[stop[pairs] != dst])[0])
         engine = _engine(sc, dst, dfield)
         base = g * t.n
-        for key, budget in zip(keys.tolist(), budgets.tolist()):
-            rr = engine(key - base, budget)
+        for key in keys.tolist():
+            rr = engine(key - base)
             if rr.delivered:
                 episodes = list(_episodes(rr))
                 found.extend(episodes)
@@ -452,32 +451,25 @@ def _eval_run(sc: Scenario, lo: int, hi: int) -> _Outcomes:
     return _Outcomes(greedy, hops, Counter(dict(zip(causes, failed.tolist()))), episodes)
 
 
-def _budgets(key: np.ndarray, prefix: np.ndarray, ttl: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct keys, ascending, each with the largest ttl - prefix of its pairs."""
-    keys, at = np.unique(key, return_inverse=True)
-    least = np.full(len(keys), ttl, dtype=np.int64)
-    np.minimum.at(least, at, prefix)
-    return keys, ttl - least
-
-
 def _engine(sc: Scenario, dst: int, dfield: np.ndarray):
-    """The recovery protocol's engine toward dst, as a function of (start node, TTL).
+    """The recovery protocol's engine toward dst, as a function of the start node.
 
-    Called at the node where a greedy walk stalled, with the hops the walk
-    left, it is the continuation of every route that stalled there; called
-    at a source with the whole TTL, it is that source's route.  Engines are
-    called by this module's names, with (src, dst) first, so they can be
-    traced.
+    It routes under the scenario's TTL, as ``route`` does.  Called at the
+    node where a greedy walk stalled, it is the continuation of every route
+    that stalled there; called at a source, it is that source's route.
+    Engines are called by this module's names, with (src, dst) first, so
+    they can be traced.
     """
     spec = sc.config.spec
     t = sc.topology
+    ttl = sc.ctx.ttl
     if spec.recovery == Recovery.PERIMETER:
         faces = sc.ctx.faces(spec.planar)
-        return lambda src, ttl: gpsr_route(src, dst, dfield, faces, t, ttl)
+        return lambda src: gpsr_route(src, dst, dfield, faces, t, ttl)
     if spec.recovery == Recovery.BACKTRACK:
-        return lambda src, ttl: lcr_route(src, dst, dfield, t, ttl)
+        return lambda src: lcr_route(src, dst, dfield, t, ttl)
     trees = sc.ctx.beacons
-    return lambda src, ttl: bvr_route(src, dst, dfield, trees, t, ttl)
+    return lambda src: bvr_route(src, dst, dfield, trees, t, ttl)
 
 
 def _episodes(rr):
@@ -658,6 +650,8 @@ def _apply_axis(base: ScenarioConfig, axis: str, value) -> ScenarioConfig:
     if axis in _AXIS_FIELDS:
         return replace(base, **{_AXIS_FIELDS[axis]: value})
     if axis == "void_size":
+        if not value >= 0:
+            raise ScenarioError("void_size must be >= 0")
         return replace(base, voids=(_central_disc(base, value),) if value > 0 else ())
     # hole_count
     if not 0 <= value <= len(_HOLE_CENTERS):

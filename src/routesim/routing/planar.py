@@ -76,9 +76,12 @@ def crossing_point(p1, p2, q1, q2) -> tuple[float, float] | None:
     d2 = (x4 - x3) * (y2 - y3) - (y4 - y3) * (x2 - x3)
     d3 = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
     d4 = (x2 - x1) * (y4 - y1) - (y2 - y1) * (x4 - x1)
-    if 0 in (d1, d2, d3, d4) or (d1 > 0) == (d2 > 0) or (d3 > 0) == (d4 > 0):
+    # The denominator can round to 0 on nearly parallel segments whose
+    # rounded orientations cross; no point is found there either.
+    denom = (x1 - x2) * (y3 - y4) - (y1 - y2) * (x3 - x4)
+    if 0 in (d1, d2, d3, d4, denom) or (d1 > 0) == (d2 > 0) or (d3 > 0) == (d4 > 0):
         return None
-    s = d1 / ((x1 - x2) * (y3 - y4) - (y1 - y2) * (x3 - x4))
+    s = d1 / denom
     return (x1 + s * (x2 - x1), y1 + s * (y2 - y1))
 
 

@@ -239,12 +239,21 @@ def test_negative_seed_exits_2(cfg_file, capsys, extra, args):
     assert captured.err.endswith("seed must be >= 0\n") and len(captured.err.splitlines()) == 1
 
 
-def test_sweep_negative_seed_is_a_point_error(cfg_file, capsys):
-    path = cfg_file("deployment = random\nn = 30\n")
-    assert run_cli(["--config", path, "sweep", "seed", "-1", "2"]) == 2
+@pytest.mark.parametrize("extra, args, rows, err", [
+    ("deployment = random\nn = 30\n", ["seed", "-1", "2"],
+     4,  # header, seed 2, mean, std
+     "sweep point -1: seed must be >= 0\n"),
+    # A negative or NaN void size is not "no void".
+    ("deployment = grid\nrows = 12\ncols = 12\nprotocol = gf-geo\n", ["void_size", "0", "-2", "nan", "2"],
+     3,  # header, void_size 0, void_size 2
+     "sweep point -2.0: void_size must be >= 0\nsweep point nan: void_size must be >= 0\n"),
+], ids=["seed", "void_size"])
+def test_sweep_negative_seed_is_a_point_error(cfg_file, capsys, extra, args, rows, err):
+    path = cfg_file(extra)
+    assert run_cli(["--config", path, "sweep", *args]) == 2
     captured = capsys.readouterr()
-    assert len(captured.out.splitlines()) == 4  # header, seed 2, mean, std
-    assert captured.err == "sweep point -1: seed must be >= 0\n"
+    assert len(captured.out.splitlines()) == rows
+    assert captured.err == err
 
 
 def test_sweep_hole_count_over_a_rect_void(cfg_file, capsys):

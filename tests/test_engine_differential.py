@@ -13,14 +13,17 @@ per (stall node, destination), and fans the outcome out to every pair that
 stalled there; its outcomes must be those of one ``route`` call per pair.
 """
 
+import contextlib
 import math
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from routesim import harness
 from routesim.coords import AnchorSet, CoordsError, VirtualCoords, build_vcs, hop_rows, pair_hops
 from routesim.distance import euclidean_field
 from routesim.harness import Scenario, ScenarioConfig, _episodes, _eval_run, fixture_abc
@@ -435,7 +438,11 @@ def test_parent_table_rejects_a_column_that_is_not_a_bfs_layering():
 
 def _assert_eval_run_matches_routes(sc: Scenario) -> None:
     """``_eval_run`` over every pair equals one ``route`` call per pair: greedy
-    flags, hops, failure counts, and the episodes in (dst, src) order."""
+    flags, hops, failure counts, and the episodes in (dst, src) order.
+
+    Every engine call it makes is ``route`` from the call's start node: it
+    passes the scenario's TTL and returns the same RouteResult.
+    """
     srcs, dsts, sp = sc.pairs
     greedy, hops, failures, episodes = [], [], Counter(), []
     for src, dst, reachable in zip(srcs.tolist(), dsts.tolist(), (sp >= 0).tolist()):
@@ -448,7 +455,23 @@ def _assert_eval_run_matches_routes(sc: Scenario) -> None:
             episodes.extend((dst, *ep) for ep in _episodes(rr))
         else:
             failures[rr.failure_cause] += 1
-    run = _eval_run(sc, 0, len(dsts))
+    calls = []
+
+    def spy(engine):
+        def call(src, dst, *args):
+            rr = engine(src, dst, *args)
+            calls.append((args[-1], rr))
+            return rr
+        return call
+
+    with contextlib.ExitStack() as stack:
+        for name in ("gpsr_route", "bvr_route", "lcr_route"):
+            stack.enter_context(mock.patch.object(harness, name, spy(getattr(harness, name))))
+        run = _eval_run(sc, 0, len(dsts))
+    ttl = sc.ctx.ttl
+    for used, rr in calls:
+        assert used == ttl
+        assert rr == route(sc.config.protocol, rr.src, rr.dst, sc.ctx)
     assert run.greedy.tolist() == greedy
     assert run.hops.tolist() == hops
     assert +run.failures == failures
