@@ -35,8 +35,8 @@ EXIT_BY_FAILURE = {
     Failure.TTL_EXCEEDED: 4,
     Failure.PERIMETER_LOOP: 5,
     Failure.BACKTRACK_EXHAUSTED: 6,
+    Failure.UNREACHABLE: 7,
 }
-EXIT_UNREACHABLE = 7
 
 
 def _fail(message: str) -> int:
@@ -80,11 +80,8 @@ def cmd_route(args) -> int:
     _write_out("\n".join(lines) + "\n", args.out)
     if rr.delivered:
         return EXIT_OK
-    if rr.failure_cause in EXIT_BY_FAILURE:
-        print(f"failed: {rr.failure_cause}", file=sys.stderr)
-        return EXIT_BY_FAILURE[rr.failure_cause]
-    print("failed: unreachable", file=sys.stderr)
-    return EXIT_UNREACHABLE
+    print(f"failed: {rr.failure_cause}", file=sys.stderr)
+    return EXIT_BY_FAILURE[rr.failure_cause]
 
 
 def _load_config(args) -> ScenarioConfig:

@@ -21,7 +21,7 @@ from routesim.routing.greedy import greedy_next_hop, greedy_route, sp_route
 from routesim.routing.gpsr import FaceTable, face_table, gpsr_route
 from routesim.routing.planar import METHOD_GG, METHOD_RNG, planarize, count_crossings
 from routesim.routing.recovery import BeaconTrees, beacon_trees, bvr_route, lcr_route
-from routesim.routing.result import Failure, Mode, Outcome, RouteResult, finish
+from routesim.routing.result import Failure, Mode, RouteResult
 from routesim.topology import Topology, TopologyError
 
 
@@ -172,9 +172,7 @@ __all__ = [
     "RoutingContext",
     "RouteResult",
     "Mode",
-    "Outcome",
     "Failure",
-    "finish",
     "greedy_next_hop",
     "greedy_route",
     "sp_route",

@@ -28,7 +28,7 @@ import numpy as np
 
 from routesim.coords import hop_rows
 from routesim.distance import FieldFn
-from routesim.routing.result import Failure, Mode, Outcome, RouteResult, finish
+from routesim.routing.result import Failure, Mode, RouteResult
 from routesim.topology import Topology
 
 # recover(local minimum, path, modes) -> (resume node, failure or None); it
@@ -64,29 +64,26 @@ def greedy_route(src: int, dst: int, dfield: np.ndarray, t: Topology, ttl: int,
     The next hop is asked for first; the TTL is checked before each greedy
     hop, and the episode checks it before each of its own.  Without
     ``recover`` a local minimum ends the route: as ttl-exceeded when the TTL
-    is already spent, else as local-minimum.
+    is already spent, else as local-minimum.  The route ends delivered at
+    dst or at its first failure.
     """
     path = [src]
     modes: list[str] = []
     u = src
-    while u != dst:
+    failure = None
+    while u != dst and failure is None:
         nxt = greedy_next_hop(u, dfield, t, dst)
-        if nxt is None:
-            if recover is not None:
-                u, failure = recover(u, path, modes)
-            elif len(modes) >= ttl:
-                failure = Failure.TTL_EXCEEDED
-            else:
-                failure = Failure.LOCAL_MINIMUM
-            if failure is not None:
-                return finish(src, dst, path, modes, failure)
-            continue
-        if len(modes) >= ttl:
-            return finish(src, dst, path, modes, Failure.TTL_EXCEEDED)
-        path.append(nxt)
-        modes.append(Mode.GREEDY)
-        u = nxt
-    return finish(src, dst, path, modes)
+        if nxt is None and recover is not None:
+            u, failure = recover(u, path, modes)
+        elif len(modes) >= ttl:
+            failure = Failure.TTL_EXCEEDED
+        elif nxt is None:
+            failure = Failure.LOCAL_MINIMUM
+        else:
+            path.append(nxt)
+            modes.append(Mode.GREEDY)
+            u = nxt
+    return RouteResult(src, dst, tuple(path), tuple(modes), failure)
 
 
 def greedy_forest(dfield: np.ndarray, t: Topology, dst: int, ttl: int) -> tuple[np.ndarray, np.ndarray]:
@@ -180,9 +177,10 @@ def sp_route(src: int, dst: int, t: Topology) -> RouteResult:
     """Breadth-first shortest path; the stretch denominator oracle.
 
     Greedy descent of the hop-count field with ties to the lowest id, so the
-    route is deterministic; it is at most n - 1 hops, under the TTL of n.
+    route is deterministic; it is at most n - 1 hops, under the TTL of n.  A
+    dst in another component ends the route at src as unreachable.
     """
     dist = hop_rows(t, [dst])[0]
     if dist[src] < 0:
-        return RouteResult(src, dst, (src,), (), Outcome.FAILED, None)  # cross-component
+        return RouteResult(src, dst, (src,), (), Failure.UNREACHABLE)
     return greedy_route(src, dst, dist, t, t.n)

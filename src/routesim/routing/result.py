@@ -1,4 +1,8 @@
-"""Per-packet route outcomes and hop-mode attribution."""
+"""Per-packet routes and hop-mode attribution.
+
+A route's failure cause is the one record of how it ended: a route is
+delivered exactly when it has none, and then its path ends at dst.
+"""
 
 from __future__ import annotations
 
@@ -15,17 +19,12 @@ class Mode:
     FLOOD = "flood"
 
 
-class Outcome:
-    DELIVERED_GREEDY = "delivered-greedy"
-    DELIVERED_MIXED = "delivered-mixed"
-    FAILED = "failed"
-
-
 class Failure:
     LOCAL_MINIMUM = "local-minimum"
     TTL_EXCEEDED = "ttl-exceeded"
     PERIMETER_LOOP = "perimeter-loop"
     BACKTRACK_EXHAUSTED = "backtrack-exhausted"
+    UNREACHABLE = "unreachable"  # sp only: src and dst in different components
 
 
 @dataclass(frozen=True)
@@ -33,33 +32,24 @@ class RouteResult:
     """One packet's journey: node path, per-hop modes, and how it ended.
 
     ``path`` starts at src; ``modes[i]`` labels the hop path[i] -> path[i+1].
-    A delivered path ends at dst, and delivered-greedy means every hop was a
-    greedy one.
+    ``failure_cause`` is None for a delivered route, whose path ends at dst.
     """
 
     src: int
     dst: int
     path: tuple[int, ...]
     modes: tuple[str, ...]
-    outcome: str
     failure_cause: str | None = None
 
     @property
     def delivered(self) -> bool:
-        return self.outcome in (Outcome.DELIVERED_GREEDY, Outcome.DELIVERED_MIXED)
+        return self.failure_cause is None
+
+    @property
+    def greedy(self) -> bool:
+        """Delivered on greedy hops alone: one route's share of greedy_ratio."""
+        return self.delivered and all(m == Mode.GREEDY for m in self.modes)
 
     @property
     def hops(self) -> int:
         return len(self.path) - 1
-
-
-def finish(src: int, dst: int, path: list[int], modes: list[str],
-           failure: str | None = None) -> RouteResult:
-    """Assemble a RouteResult, deriving the outcome from modes and arrival."""
-    if failure is not None:
-        outcome = Outcome.FAILED
-    elif all(m == Mode.GREEDY for m in modes):
-        outcome = Outcome.DELIVERED_GREEDY
-    else:
-        outcome = Outcome.DELIVERED_MIXED
-    return RouteResult(src, dst, tuple(path), tuple(modes), outcome, failure)

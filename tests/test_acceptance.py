@@ -28,7 +28,6 @@ from routesim.harness import (
 from routesim.routing import (
     METHOD_GG,
     METHOD_RNG,
-    Outcome,
     count_crossings,
     greedy_route,
     lcr_route,
@@ -154,12 +153,12 @@ def test_criterion_4_abc_counterexample():
         "criterion 4 (A/B/C counterexample regression)",
         ok,
         f"euclid C/B->A = {e_ca:.6f}/{e_ba:.6f}, manhattan = {m_ca:.0f}/{m_ba:.0f}; "
-        f"greedy fails both metrics; lcr outcome = {lcr.outcome}",
+        f"greedy fails both metrics; lcr failure cause = {lcr.failure_cause}",
     )
     assert e_ca == math.sqrt(2) and e_ba == math.sqrt(2)
     assert m_ca == 2.0 and m_ba == 2.0
     for rr in fails:
-        assert rr.outcome == Outcome.FAILED and rr.failure_cause == "local-minimum"
+        assert rr.failure_cause == "local-minimum"
     assert lcr.delivered
 
 

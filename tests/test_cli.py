@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from routesim import harness
-from routesim.cli import main
+from routesim.cli import EXIT_BY_FAILURE, main
 from routesim.config import _KEY_TYPES
 from routesim.harness import Scenario
-from routesim.routing import PROTOCOL_SPECS, CoordSource
+from routesim.routing import PROTOCOL_SPECS, CoordSource, Failure
 
 GRID_CFG = "deployment = grid\nrows = 20\ncols = 20\nradio_range = 1.2\nprotocol = gf-geo\n"
 HOLE_CFG = (
@@ -17,6 +17,11 @@ HOLE_CFG = (
     "voids = disc:9.5,9.5,3.0\nprotocol = gf-geo\n"
 )
 ABC_CFG = "deployment = abc-fixture\nprotocol = gf-vcs\n"
+# A void strip down the middle column splits the grid: 0 and 379 lie apart.
+SPLIT_CFG = (
+    "deployment = grid\nrows = 20\ncols = 20\nradio_range = 1.2\n"
+    "voids = rect:9.5,9.5,0.6,10.0\nloc_error = 0.4\nprotocol = sp\n"
+)
 
 
 @pytest.fixture()
@@ -69,6 +74,20 @@ def test_route_counterexample_exit_codes(cfg_file, capsys):
     assert run_cli(["--config", lcr, "route", "2", "0"]) == 0
     out = capsys.readouterr().out
     assert "backtrack" in out
+
+
+def test_route_across_components_is_unreachable(cfg_file, capsys):
+    path = cfg_file(SPLIT_CFG)
+    assert run_cli(["--config", path, "route", "0", "379"]) == 7
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 1
+    assert captured.err == "failed: unreachable\n"
+
+
+def test_every_failure_has_an_exit_code():
+    causes = {v for k, v in vars(Failure).items() if not k.startswith("_")}
+    assert causes == set(EXIT_BY_FAILURE)
+    assert len(set(EXIT_BY_FAILURE.values())) == len(causes)
 
 
 def test_route_bad_ids(cfg_file, capsys):

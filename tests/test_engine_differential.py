@@ -6,7 +6,7 @@ loops lcr and sp used before they were built on ``greedy_route``.  The
 before their per-scenario tables: the face walk computed every edge angle
 with ``math.atan2`` on numpy rows at each hop, and the beacon climb searched
 each node's neighbors for its tree parent.  Whole RouteResults must match:
-path, modes, outcome and failure cause.
+path, modes and failure cause.
 
 Bulk evaluation resumes gpsr and bvr at the node where greedy stalled, once
 per (stall node, destination), and fans the outcome out to every pair that
@@ -32,12 +32,10 @@ from routesim.routing import (
     METHOD_RNG,
     Failure,
     Mode,
-    Outcome,
     RouteResult,
     beacon_trees,
     bvr_route,
     face_table,
-    finish,
     gpsr_route,
     greedy_route,
     lcr_route,
@@ -57,7 +55,7 @@ def _reference_lcr_route(src: int, dst: int, dfield: np.ndarray, t: Topology, tt
     u = src
     while True:
         if u == dst:
-            return finish(src, dst, path, modes)
+            return RouteResult(src, dst, tuple(path), tuple(modes))
         if dst in t.adjacency[u]:
             best, best_d = dst, dfield[dst]
         else:
@@ -68,7 +66,7 @@ def _reference_lcr_route(src: int, dst: int, dfield: np.ndarray, t: Topology, tt
                     best = v
                     best_d = dfield[v]
         if len(modes) >= ttl:
-            return finish(src, dst, path, modes, Failure.TTL_EXCEEDED)
+            return RouteResult(src, dst, tuple(path), tuple(modes), Failure.TTL_EXCEEDED)
         if best >= 0:
             mode = Mode.GREEDY if (best_d < dfield[u] or best == dst) else Mode.BACKTRACK
             visited.add(best)
@@ -79,7 +77,7 @@ def _reference_lcr_route(src: int, dst: int, dfield: np.ndarray, t: Topology, tt
         else:
             stack.pop()
             if not stack:
-                return finish(src, dst, path, modes, Failure.BACKTRACK_EXHAUSTED)
+                return RouteResult(src, dst, tuple(path), tuple(modes), Failure.BACKTRACK_EXHAUSTED)
             u = stack[-1]
             path.append(u)
             modes.append(Mode.BACKTRACK)
@@ -88,7 +86,7 @@ def _reference_lcr_route(src: int, dst: int, dfield: np.ndarray, t: Topology, tt
 def _reference_sp_route(src: int, dst: int, t: Topology) -> RouteResult:
     dist = hop_rows(t, [dst])[0]
     if dist[src] < 0:
-        return RouteResult(src, dst, (src,), (), "failed", None)  # cross-component
+        return RouteResult(src, dst, (src,), (), Failure.UNREACHABLE)
     path = [src]
     modes: list[str] = []
     u = src
@@ -100,7 +98,7 @@ def _reference_sp_route(src: int, dst: int, t: Topology) -> RouteResult:
                 break
         path.append(u)
         modes.append(Mode.GREEDY)
-    return finish(src, dst, path, modes)
+    return RouteResult(src, dst, tuple(path), tuple(modes))
 
 
 def _reference_ccw_order(u: int, nbrs: tuple[int, ...], ref_angle: float, pos: np.ndarray) -> list[int]:
@@ -222,10 +220,17 @@ def _reference_bvr_route(src: int, dst: int, dfield: np.ndarray, vc: VirtualCoor
     )
 
 
+def _end(rr: RouteResult) -> str:
+    """How a route ended: its failure cause, or whether greedy hops alone delivered it."""
+    if rr.delivered:
+        return "delivered-greedy" if rr.greedy else "delivered-mixed"
+    return rr.failure_cause
+
+
 def _kind(rr: RouteResult) -> str:
     if rr.failure_cause == Failure.TTL_EXCEEDED and Mode.BACKTRACK in rr.modes:
         return "ttl-in-search"
-    return rr.failure_cause or rr.outcome
+    return _end(rr)
 
 
 def _compare(t: Topology, dfield: np.ndarray, ttl: int, pairs) -> Counter:
@@ -234,7 +239,10 @@ def _compare(t: Topology, dfield: np.ndarray, ttl: int, pairs) -> Counter:
     for src, dst in pairs:
         rr = lcr_route(src, dst, dfield, t, ttl)
         assert rr == _reference_lcr_route(src, dst, dfield, t, ttl), (src, dst, ttl)
-        assert sp_route(src, dst, t) == _reference_sp_route(src, dst, t), (src, dst)
+        sp = sp_route(src, dst, t)
+        assert sp == _reference_sp_route(src, dst, t), (src, dst)
+        for res in (rr, sp):
+            assert res.delivered == (res.path[-1] == dst), (res, ttl)
         seen[_kind(rr)] += 1
     return seen
 
@@ -287,10 +295,10 @@ def test_reference_cases_reach_search_failures():
     seen = Counter()
     for ttl in range(12):
         seen += _compare(t, dfield, ttl, [(s, d) for s in range(7) for d in range(7)])
-    for kind in (Outcome.DELIVERED_MIXED, Failure.BACKTRACK_EXHAUSTED, "ttl-in-search",
+    for kind in ("delivered-mixed", Failure.BACKTRACK_EXHAUSTED, "ttl-in-search",
                  Failure.TTL_EXCEEDED):
         assert seen[kind] > 0, kind
-    assert sp_route(0, 6, t).outcome == Outcome.FAILED
+    assert sp_route(0, 6, t).failure_cause == Failure.UNREACHABLE
 
 
 def _compare_gpsr(t: Topology, pos: np.ndarray, pg: Topology, ttl: int, pairs) -> Counter:
@@ -301,7 +309,8 @@ def _compare_gpsr(t: Topology, pos: np.ndarray, pg: Topology, ttl: int, pairs) -
         dfield = euclidean_field(pos, pos[dst])
         rr = gpsr_route(src, dst, dfield, faces, t, ttl)
         assert rr == _reference_gpsr_route(src, dst, dfield, pos, pg, t, ttl), (src, dst, ttl)
-        seen[rr.failure_cause or rr.outcome] += 1
+        assert rr.delivered == (rr.path[-1] == dst), (rr, ttl)
+        seen[_end(rr)] += 1
     return seen
 
 
@@ -313,7 +322,8 @@ def _compare_bvr(t: Topology, vc: VirtualCoords, dfield_of, ttl: int, pairs) -> 
         dfield = dfield_of(dst)
         rr = bvr_route(src, dst, dfield, trees, t, ttl)
         assert rr == _reference_bvr_route(src, dst, dfield, vc, t, ttl), (src, dst, ttl)
-        seen[rr.failure_cause or rr.outcome] += 1
+        assert rr.delivered == (rr.path[-1] == dst), (rr, ttl)
+        seen[_end(rr)] += 1
     return seen
 
 
@@ -394,7 +404,7 @@ def test_reference_cases_reach_recovery_failures():
     seen = Counter()
     for ttl in (0, 8, ctx.ttl):
         seen += _compare_gpsr(sc.topology, ctx.geo_positions, ctx.planar(METHOD_RNG), ttl, pairs)
-    for kind in (Outcome.DELIVERED_MIXED, Failure.PERIMETER_LOOP, Failure.LOCAL_MINIMUM,
+    for kind in ("delivered-mixed", Failure.PERIMETER_LOOP, Failure.LOCAL_MINIMUM,
                  Failure.TTL_EXCEEDED):
         assert seen[kind] > 0, (kind, seen)
 
@@ -402,7 +412,7 @@ def test_reference_cases_reach_recovery_failures():
     seen = Counter()
     for ttl in (0, 8, bvr.ctx.ttl):
         seen += _compare_bvr(bvr.topology, bvr.vc, lambda dst: bvr.ctx.dfield("bvr", dst), ttl, pairs)
-    for kind in (Outcome.DELIVERED_MIXED, Failure.TTL_EXCEEDED):
+    for kind in ("delivered-mixed", Failure.TTL_EXCEEDED):
         assert seen[kind] > 0, (kind, seen)
 
 
@@ -447,7 +457,7 @@ def _assert_eval_run_matches_routes(sc: Scenario) -> None:
     greedy, hops, failures, episodes = [], [], Counter(), []
     for src, dst, reachable in zip(srcs.tolist(), dsts.tolist(), (sp >= 0).tolist()):
         rr = route(sc.config.protocol, src, dst, sc.ctx) if reachable else None
-        greedy.append(rr is not None and rr.outcome == Outcome.DELIVERED_GREEDY)
+        greedy.append(rr is not None and rr.greedy)
         hops.append(rr.hops if rr is not None and rr.delivered else 0)
         if rr is None:
             continue

@@ -8,7 +8,6 @@ from routesim.routing import (
     METHOD_GG,
     Failure,
     Mode,
-    Outcome,
     face_table,
     gpsr_route,
     planarize,
@@ -48,7 +47,7 @@ def test_gpsr_self_route():
     t, src, dst = u_shape_topology()
     pg = planarize(t, t.positions, METHOD_GG)
     rr = _gpsr(src, src, t, pg, 100)
-    assert rr.outcome == Outcome.DELIVERED_GREEDY and rr.hops == 0
+    assert rr.greedy and rr.hops == 0
 
 
 def test_gpsr_local_minimum_without_planar_neighbor_outranks_spent_ttl():
@@ -107,7 +106,7 @@ def test_gpsr_recovers_from_cul_de_sac():
     assert t.n == 12
     pg = planarize(t, t.positions, METHOD_GG)
     rr = _gpsr(src, dst, t, pg, 100)
-    assert rr.outcome == Outcome.DELIVERED_MIXED
+    assert rr.delivered and not rr.greedy
     assert rr.path[-1] == dst
     assert sum(m == Mode.PERIMETER for m in rr.modes) >= 1
     for a, b in zip(rr.path, rr.path[1:]):
@@ -155,4 +154,4 @@ def test_gpsr_mode_attribution():
     rr = _gpsr(src, dst, t, pg, 100)
     counts = Counter(rr.modes)
     assert set(counts) <= {Mode.GREEDY, Mode.PERIMETER}
-    assert (rr.outcome == Outcome.DELIVERED_GREEDY) == (counts.get(Mode.PERIMETER, 0) == 0)
+    assert rr.greedy == (counts.get(Mode.PERIMETER, 0) == 0)

@@ -34,7 +34,7 @@ from routesim.harness import (
     fixture_abc,
     sweep,
 )
-from routesim.routing import (PROTOCOL_SPECS, PROTOCOLS, CoordSource, Mode, Outcome,
+from routesim.routing import (PROTOCOL_SPECS, PROTOCOLS, CoordSource, Mode,
                               RoutingContext, greedy_next_hop, route)
 from routesim.topology import TopologyError, VoidSpec
 
@@ -189,7 +189,7 @@ def test_fields_are_built_once_and_only_where_needed(monkeypatch, protocol):
     srcs, dsts = (a[sc.pairs[2] >= 0].tolist() for a in sc.pairs[:2])
     dense = {dst for dst, k in Counter(dsts).items() if k * k >= LOCKSTEP_CROSSOVER * sc.topology.n}
     stalled = {dst for src, dst in zip(srcs, dsts)
-               if route(protocol, src, dst, sc.ctx).outcome != Outcome.DELIVERED_GREEDY}
+               if not route(protocol, src, dst, sc.ctx).greedy}
     assert dense - stalled and stalled - dense
     assert sorted(built) == sorted(dense | stalled)
 
@@ -510,7 +510,7 @@ def _per_pair_metrics(sc):
             continue
         delivered += 1
         sum_all += rr.hops / sp
-        if rr.outcome == Outcome.DELIVERED_GREEDY:
+        if rr.greedy:
             greedy += 1
             sum_greedy += rr.hops / sp
         at = 0
@@ -586,7 +586,7 @@ def test_stalling_examples_stall_pairs_in_both_kernels(case):
     sources = Counter(dsts)
     stalled = Counter(sources[dst] ** 2 < LOCKSTEP_CROSSOVER * sc.topology.n
                       for src, dst in zip(srcs, dsts)
-                      if route(case["protocol"], src, dst, sc.ctx).outcome != Outcome.DELIVERED_GREEDY)
+                      if not route(case["protocol"], src, dst, sc.ctx).greedy)
     assert stalled[True] > 0 and stalled[False] > 0, stalled
 
 
@@ -642,7 +642,7 @@ def test_pairs_are_sorted_and_delivered_exactly_when_hops_are_positive(**case):
         rr = route(sc.config.protocol, src, dst, sc.ctx)
         assert (run.hops[i] > 0) == rr.delivered
         assert run.hops[i] == (rr.hops if rr.delivered else 0)
-        assert run.greedy[i] == (rr.outcome == Outcome.DELIVERED_GREEDY)
+        assert run.greedy[i] == rr.greedy
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)

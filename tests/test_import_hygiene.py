@@ -2,7 +2,8 @@
 
 A package ``__init__.py`` re-exports what it imports: the names in its
 ``__all__``, or every imported name when it has none.  Anything else that is
-imported and never read is a leftover, usually of a deletion.
+imported and never read is a leftover, usually of a deletion.  Every name in
+a package's ``__all__`` is bound in it, or ``from package import *`` fails.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "routesim"
 MODULES = sorted(SRC.rglob("*.py"))
+PACKAGES = sorted(SRC.rglob("__init__.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -47,9 +49,27 @@ def _unused(path: Path) -> list[str]:
     return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in read]
 
 
+def _unbound(path: Path) -> list[str]:
+    """Names in the package's ``__all__`` that it never binds at top level."""
+    tree = ast.parse(path.read_text())
+    bound = set(_imported(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return sorted((_exported(tree) or set()) - bound)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_every_import_is_used(path):
     assert _unused(path) == []
+
+
+@pytest.mark.parametrize("path", PACKAGES, ids=lambda p: str(p.relative_to(SRC)))
+def test_every_export_is_bound(path):
+    assert _unbound(path) == []
 
 
 def test_unused_import_is_caught(tmp_path):
@@ -59,3 +79,10 @@ def test_unused_import_is_caught(tmp_path):
     package = tmp_path / "__init__.py"
     package.write_text("from os import path, sep\n__all__ = ['path']\n")
     assert _unused(package) == ["sep (line 1)"]
+
+
+def test_stale_export_is_caught(tmp_path):
+    package = tmp_path / "__init__.py"
+    package.write_text("from os import path\nSEP = '/'\ndef join(): pass\n"
+                       "__all__ = ['path', 'SEP', 'join', 'gone']\n")
+    assert _unbound(package) == ["gone"]

@@ -5,7 +5,6 @@ from routesim.harness import ABC_A, ABC_C, Scenario, ScenarioConfig, fixture_abc
 from routesim.routing import (
     Failure,
     Mode,
-    Outcome,
     beacon_trees,
     bvr_route,
     lcr_route,
@@ -22,13 +21,13 @@ def abc_field(vc, dst):
 def test_lcr_self_route():
     t, vc = fixture_abc()
     rr = lcr_route(ABC_A, ABC_A, abc_field(vc, ABC_A), t, 100)
-    assert rr.outcome == Outcome.DELIVERED_GREEDY and rr.hops == 0
+    assert rr.greedy and rr.hops == 0
 
 
 def test_lcr_delivers_counterexample_pair():
     t, vc = fixture_abc()
     rr = lcr_route(ABC_C, ABC_A, abc_field(vc, ABC_A), t, 2 * t.n)
-    assert rr.outcome == Outcome.DELIVERED_MIXED
+    assert rr.delivered and not rr.greedy
     assert rr.path[-1] == ABC_A
     assert Mode.BACKTRACK in rr.modes
 
@@ -55,7 +54,7 @@ def test_lcr_backtrack_exhausted_on_unreachable():
         np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]]), [[1], [], []]
     )
     rr = lcr_route(0, 2, np.array([2.0, 1.0, 0.0]), t, 100)
-    assert rr.outcome == Outcome.FAILED
+    assert not rr.delivered
     assert rr.failure_cause == Failure.BACKTRACK_EXHAUSTED
 
 
@@ -69,7 +68,7 @@ def test_lcr_path_hops_are_edges():
 def test_bvr_self_route():
     t, vc = fixture_abc()
     rr = bvr_route(ABC_A, ABC_A, abc_field(vc, ABC_A), beacon_trees(vc, t), t, 100)
-    assert rr.outcome == Outcome.DELIVERED_GREEDY and rr.hops == 0
+    assert rr.greedy and rr.hops == 0
 
 
 def test_bvr_mixed_delivery_uses_fallback_or_flood():
@@ -84,7 +83,7 @@ def test_bvr_mixed_delivery_uses_fallback_or_flood():
         if src == dst:
             continue
         rr = bvr_route(src, dst, sc.ctx.dfield("bvr", dst), sc.ctx.beacons, t, sc.ctx.ttl)
-        if rr.outcome == Outcome.DELIVERED_MIXED:
+        if rr.delivered and not rr.greedy:
             mixed += 1
             assert Mode.FALLBACK in rr.modes or Mode.FLOOD in rr.modes
         if rr.delivered:
@@ -129,7 +128,7 @@ def test_bvr_greedy_resumption_prefix():
             if src == dst:
                 continue
             rr = bvr_route(src, dst, dfield, sc.ctx.beacons, t, sc.ctx.ttl)
-            if rr.outcome == Outcome.DELIVERED_GREEDY:
+            if rr.greedy:
                 delivered_greedy += 1
                 assert all(m == Mode.GREEDY for m in rr.modes)
     assert delivered_greedy > 0

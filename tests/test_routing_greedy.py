@@ -8,7 +8,6 @@ from routesim.coords import CoordsError
 from routesim.harness import ABC_A, ABC_B, ABC_C, Scenario, ScenarioConfig, fixture_abc
 from routesim.routing import (
     Failure,
-    Outcome,
     greedy_next_hop,
     greedy_route,
     sp_route,
@@ -27,7 +26,7 @@ def test_trivial_self_route():
     t, vc = fixture_abc()
     dfield = dm.euclidean_field(vc.matrix.astype(float), vc.matrix[ABC_A].astype(float))
     rr = greedy_route(ABC_A, ABC_A, dfield, t, 100)
-    assert rr.outcome == Outcome.DELIVERED_GREEDY
+    assert rr.greedy
     assert rr.path == (ABC_A,) and rr.hops == 0
 
 
@@ -48,7 +47,7 @@ def test_greedy_fails_at_counterexample_under_both_metrics():
     for field_fn in (dm.euclidean_field, dm.manhattan_field):
         dfield = field_fn(m, m[ABC_A])
         rr = greedy_route(ABC_C, ABC_A, dfield, t, 500)
-        assert rr.outcome == Outcome.FAILED
+        assert not rr.delivered
         assert rr.failure_cause == Failure.LOCAL_MINIMUM
         assert rr.path == (ABC_C,)
 
@@ -78,7 +77,7 @@ def test_greedy_ttl():
     pos = t.positions
     dfield = dm.euclidean_field(pos, pos[29])
     rr = greedy_route(0, 29, dfield, t, ttl=5)
-    assert rr.outcome == Outcome.FAILED and rr.failure_cause == Failure.TTL_EXCEEDED
+    assert rr.failure_cause == Failure.TTL_EXCEEDED
     assert rr.hops == 5
 
 
@@ -236,7 +235,7 @@ def test_sp_route_cross_component_fails():
         np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]]), [[1], [], []]
     )
     rr = sp_route(0, 2, t)
-    assert rr.outcome == Outcome.FAILED and rr.failure_cause is None
+    assert rr.failure_cause == Failure.UNREACHABLE
 
 
 def test_sp_is_stretch_denominator_floor():
