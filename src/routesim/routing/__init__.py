@@ -22,7 +22,7 @@ from routesim.routing.gpsr import FaceTable, face_table, gpsr_route
 from routesim.routing.planar import METHOD_GG, METHOD_RNG, planarize, count_crossings
 from routesim.routing.recovery import BeaconTrees, beacon_trees, bvr_route, lcr_route
 from routesim.routing.result import Failure, Mode, RouteResult
-from routesim.topology import Topology, TopologyError
+from routesim.topology import Topology, TopologyError, _freeze
 
 
 class CoordSource:
@@ -137,11 +137,11 @@ class RoutingContext:
     def dfield(self, protocol: str, dst: int) -> np.ndarray:
         """Distance of every node's local coordinates to the destination's."""
         local, targets, fn = self.field_inputs(protocol)
-        return fn(local, targets[dst])
+        return dist_mod.whole_field(fn, local, targets[dst])
 
     @cached_property
     def _vcs_float(self) -> np.ndarray:
-        return self.vc.matrix.astype(float)
+        return _freeze(self.vc.matrix.astype(float))
 
 
 def route(protocol: str, src: int, dst: int, ctx: RoutingContext) -> RouteResult:

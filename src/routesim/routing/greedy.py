@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from routesim.coords import hop_rows
-from routesim.distance import FieldFn
+from routesim.distance import FieldFn, whole_field
 from routesim.routing.result import Failure, Mode, RouteResult
 from routesim.topology import Topology
 
@@ -116,7 +116,7 @@ def greedy_forest(dfield: np.ndarray, t: Topology, dst: int, ttl: int) -> tuple[
         nxt = jumped
 
 
-# Pairs greedy_lockstep advances together: its temporaries hold at most
+# Pairs greedy_lockstep advances together: its step buffers hold
 # LOCKSTEP_BATCH * max degree coordinate rows.
 LOCKSTEP_BATCH = 1024
 
@@ -129,12 +129,21 @@ def greedy_lockstep(srcs: np.ndarray, dsts: np.ndarray, coords: np.ndarray, targ
     protocol's distance field function.  Each step evaluates the field on
     the gathered rows of the current nodes' neighbor-table rows, one row per
     (pair, candidate), so every distance is the float its full-field entry
-    would be.  Each pair carries its current node's distance from step to
-    step: the source's to start, then the winning candidate's.  A pad of the
-    table is the current node itself, which evaluates to exactly that
-    distance and so never wins.  Ties go to the lowest id and a neighboring
-    destination takes the packet directly, as in greedy_route.  There are at
-    most ``ttl`` steps, so the TTL is checked before each hop and hops never
+    would be.  The candidate ids, their coordinate rows, the target rows
+    and their distances live in step buffers allocated once per call,
+    ``LOCKSTEP_BATCH * width`` rows each.  A step gathers into their first
+    rows with ``np.take(..., out=, mode="clip")`` (the default mode copies
+    through a temporary), subtracts the target rows in place and has
+    ``field`` reduce the differences into the distances.  The clipped takes
+    read only neighbor-table ids, pairs that the checked gather of the
+    start distances accepted and each candidate row's pair, so an
+    out-of-range src or dst still raises.
+    Each pair carries its current node's distance from step to step: the
+    source's to start, then the winning candidate's.  A pad of the table is
+    the current node itself, which evaluates to exactly that distance and
+    so never wins.  Ties go to the lowest id and a neighboring destination
+    takes the packet directly, as in greedy_route.  There are at most
+    ``ttl`` steps, so the TTL is checked before each hop and hops never
     exceed it; outcomes are those of greedy_forest.  ``stop`` starts as the
     destination; a pair records its node as it leaves the live set without
     moving, and the pairs of a batch still live after its last step get -1.
@@ -145,20 +154,30 @@ def greedy_lockstep(srcs: np.ndarray, dsts: np.ndarray, coords: np.ndarray, targ
     stop = dsts.copy()
     ids = t.neighbor_matrix()
     width = ids.shape[1]
+    batch = min(len(srcs), LOCKSTEP_BATCH)
+    owner = np.repeat(np.arange(batch), width)   # the pair of each candidate row
+    cand = np.empty(batch * width, dtype=np.int64)
+    diff = np.empty((batch * width, coords.shape[1]))
+    goal = np.empty_like(diff)
+    dist = np.empty(batch * width)
     for lo in range(0, len(srcs), LOCKSTEP_BATCH):
         live = lo + np.flatnonzero(srcs[lo:lo + LOCKSTEP_BATCH] != dsts[lo:lo + LOCKSTEP_BATCH])
         cur = srcs[live]
         dst = dsts[live]
-        here = field(coords[cur], targets[dst])
+        here = whole_field(field, coords[cur], targets[dst])
         for step in range(ttl):
             m = len(live)
             if m == 0:
                 break
-            rows = np.take(ids, cur, axis=0).ravel()
-            vals = field(np.take(coords, rows, axis=0),
-                         np.repeat(np.take(targets, dst, axis=0), width, axis=0))
+            k = m * width
+            rows = cand[:k]
+            np.take(ids, cur, axis=0, out=rows.reshape(m, width), mode="clip")
+            d = np.take(coords, rows, axis=0, out=diff[:k], mode="clip")
+            g = np.take(np.take(targets, dst, axis=0), owner[:k], axis=0, out=goal[:k], mode="clip")
+            d -= g
+            vals = field(d, dist[:k])
             # flat index of each pair's first closest candidate
-            win = np.argmin(vals.reshape(m, width), axis=1) + np.arange(0, m * width, width)
+            win = np.argmin(vals.reshape(m, width), axis=1) + np.arange(0, k, width)
             best = vals[win]
             nxt = np.where(best < here, rows[win], -1)
             near = np.flatnonzero(rows.reshape(m, width) == dst[:, None]) // width

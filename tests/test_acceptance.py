@@ -137,8 +137,8 @@ def test_criterion_4_abc_counterexample():
     """The three-node forwarding-void regression fixture."""
     t, vc = fixture_abc()
     m = vc.matrix
-    ef = dm.euclidean_field(m.astype(float), m[ABC_A].astype(float))
-    mf = dm.manhattan_field(m.astype(float), m[ABC_A].astype(float))
+    ef = dm.whole_field(dm.euclidean_field, m.astype(float), m[ABC_A].astype(float))
+    mf = dm.whole_field(dm.manhattan_field, m.astype(float), m[ABC_A].astype(float))
     e_ca, e_ba = float(ef[ABC_C]), float(ef[ABC_B])
     m_ca, m_ba = float(mf[ABC_C]), float(mf[ABC_B])
     fails = [greedy_route(ABC_C, ABC_A, dfield, t, 4 * t.n) for dfield in (ef, mf)]
@@ -349,7 +349,7 @@ def test_criterion_9c_greedy_monotone_no_revisit():
         m = vc.matrix.astype(float)
         for _ in range(80):
             src, dst = (int(x) for x in rng.integers(0, t.n, 2))
-            dfield = dm.euclidean_field(m, m[dst])
+            dfield = dm.whole_field(dm.euclidean_field, m, m[dst])
             rr = greedy_route(src, dst, dfield, t, 4 * t.n)
             if not rr.delivered:
                 continue
@@ -420,7 +420,7 @@ def test_criterion_9g_lcr_complete():
         m = vc.matrix.astype(float)
         for _ in range(60):
             src, dst = (int(x) for x in rng.integers(0, t.n, 2))
-            dfield = dm.euclidean_field(m, m[dst])
+            dfield = dm.whole_field(dm.euclidean_field, m, m[dst])
             rr = lcr_route(src, dst, dfield, t, 2 * t.n)
             assert rr.delivered
     elapsed = time.time() - t0

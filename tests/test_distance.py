@@ -7,20 +7,20 @@ from hypothesis.extra.numpy import arrays
 
 from routesim import distance as dm
 from routesim.harness import Scenario, ScenarioConfig
-from routesim.routing import Failure, greedy_route
+from routesim.routing import PROTOCOLS, Failure, greedy_route
 from routesim.routing.greedy import greedy_lockstep
 
 
 def euclid(a, b) -> float:
-    return float(dm.euclidean_field(np.asarray([a], dtype=float), b)[0])
+    return float(dm.whole_field(dm.euclidean_field, np.asarray([a], dtype=float), b)[0])
 
 
 def manhattan(a, b) -> float:
-    return float(dm.manhattan_field(np.asarray([a], dtype=float), b)[0])
+    return float(dm.whole_field(dm.manhattan_field, np.asarray([a], dtype=float), b)[0])
 
 
 def semi(a, b, weight) -> float:
-    return float(dm.semi_manhattan_field(np.asarray([a], dtype=float), b, weight)[0])
+    return float(dm.whole_field(dm.field_function("semi", weight), np.asarray([a], dtype=float), b)[0])
 
 
 def test_euclidean_reference_vectors():
@@ -99,8 +99,8 @@ def test_manhattan_dominates_euclidean():
 
 def test_planar_345_and_translation():
     geo = dm.field_function("geo")
-    assert geo(np.array([[0.0, 0.0]]), (3, 4))[0] == 5.0
-    assert geo(np.array([[1.5, 2.5]]), (4.5, 6.5))[0] == 5.0
+    assert dm.whole_field(geo, np.array([[0.0, 0.0]]), (3, 4))[0] == 5.0
+    assert dm.whole_field(geo, np.array([[1.5, 2.5]]), (4.5, 6.5))[0] == 5.0
 
 
 def test_fields_match_point_functions():
@@ -108,9 +108,9 @@ def test_fields_match_point_functions():
     rng = np.random.default_rng(4)
     m = rng.random((40, 4)) * 12
     v = rng.integers(0, 12, 4)
-    ef = dm.euclidean_field(m, v)
-    mf = dm.manhattan_field(m, v)
-    sf = dm.semi_manhattan_field(m, v, 10.0)
+    ef = dm.whole_field(dm.euclidean_field, m, v)
+    mf = dm.whole_field(dm.manhattan_field, m, v)
+    sf = dm.whole_field(dm.semi_manhattan_field, m, v)
     for i in range(40):
         diff = [float(x) - float(y) for x, y in zip(m[i], v)]
         assert ef[i] == pytest.approx(math.sqrt(sum(d * d for d in diff)))
@@ -122,7 +122,7 @@ def test_field_function_selection():
     with pytest.raises(ValueError):
         dm.field_function("nope")
     m = np.array([[0.0, 0.0], [3.0, 4.0]])
-    assert dm.field_function("geo")(m, (0.0, 0.0))[1] == 5.0
+    assert dm.whole_field(dm.field_function("geo"), m, (0.0, 0.0))[1] == 5.0
 
 
 # The widths row_sums adds column by column, and the first it leaves to numpy.
@@ -155,13 +155,13 @@ def float_rows(draw, width: int) -> np.ndarray:
 @given(data=st.data())
 def test_row_sums_is_numpy_row_sum_bit_for_bit(width, data):
     a = data.draw(float_rows(width))
-    assert bits(dm.row_sums(a)) == bits(a.sum(axis=1))
+    assert bits(dm.row_sums(a, np.empty(len(a)))) == bits(a.sum(axis=1))
 
 
 @pytest.mark.parametrize("width", ROW_SUM_WIDTHS)
 def test_row_sums_of_negative_zeros_is_positive_zero(width):
     a = np.full((2, width), -0.0)
-    assert bits(dm.row_sums(a)) == bits(a.sum(axis=1)) == bits(np.zeros(2))
+    assert bits(dm.row_sums(a, np.empty(2))) == bits(a.sum(axis=1)) == bits(np.zeros(2))
 
 
 @pytest.mark.parametrize("width", ROW_SUM_WIDTHS)
@@ -174,11 +174,82 @@ def test_manhattan_and_semi_fields_match_numpy_row_sums(width, data):
     same = data.draw(arrays(bool, matrix.shape))
     matrix[same] = np.broadcast_to(target, matrix.shape)[same]
     diff = matrix - target.astype(float)
-    assert bits(dm.manhattan_field(matrix, target)) == bits(np.abs(diff).sum(axis=1))
+    assert bits(dm.whole_field(dm.manhattan_field, matrix, target)) == bits(np.abs(diff).sum(axis=1))
     for weight in (1.0, 10.0):
         want = (weight * np.clip(diff, 0.0, None).sum(axis=1)
                 + np.clip(-diff, 0.0, None).sum(axis=1))
-        assert bits(dm.semi_manhattan_field(matrix, target, weight)) == bits(want)
+        assert bits(dm.whole_field(dm.field_function("semi", weight), matrix, target)) == bits(want)
+
+
+# The field functions as they were when they took (matrix, target) and
+# returned a fresh array: the references their (diff, out) form must match.
+def old_row_sums(a: np.ndarray) -> np.ndarray:
+    n = a.shape[1]
+    if n >= 8:
+        return a.sum(axis=1)
+    res = a[:, 0] + 0.0
+    for j in range(1, n):
+        res += a[:, j]
+    return res
+
+
+def old_euclidean_field(matrix, v_dst, weight=None):
+    d = matrix - np.asarray(v_dst, dtype=float)
+    return np.sqrt(np.einsum("ij,ij->i", d, d))
+
+
+def old_manhattan_field(matrix, v_dst, weight=None):
+    return old_row_sums(np.abs(matrix - np.asarray(v_dst, dtype=float)))
+
+
+def old_semi_manhattan_field(matrix, v_dst, weight):
+    diff = matrix - np.asarray(v_dst, dtype=float)
+    over = old_row_sums(np.clip(diff, 0.0, None))
+    under = old_row_sums(np.clip(-diff, 0.0, None))
+    return weight * over + under
+
+
+OLD_FIELDS = {"euclid": old_euclidean_field, "manhattan": old_manhattan_field,
+              "semi": old_semi_manhattan_field}
+
+# Exact zeros of both signs, subnormals and 1e8 among ordinary floats.
+EDGE_FLOATS = st.one_of(st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e8, -1e8)),
+                        st.floats(-1e8, 1e8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(OLD_FIELDS)), weight=st.sampled_from((1.0, 0.5, 10.0)),
+       rows=st.integers(1, 5), width=st.integers(1, 9), data=st.data())
+def test_diff_out_fields_match_matrix_target_formulas(kind, weight, rows, width, data):
+    """Widths 1-9 take both sides of row_sums' switch to numpy's own sum at 8 columns."""
+    matrix = data.draw(arrays(np.float64, (rows, width), elements=EDGE_FLOATS))
+    target = data.draw(arrays(np.float64, width, elements=EDGE_FLOATS))
+    per_row = data.draw(arrays(np.float64, (rows, width), elements=EDGE_FLOATS))
+    old, fn = OLD_FIELDS[kind], dm.field_function(kind, weight)
+    want = old(matrix, target, weight)
+    out = np.empty(rows)
+    assert fn(matrix - target, out) is out
+    assert bits(out) == bits(want)
+    assert bits(dm.whole_field(fn, matrix, target)) == bits(want)
+    # one target row per local row, as the lockstep kernel's start distances
+    assert bits(dm.whole_field(fn, matrix, per_row)) == bits(
+        [old(matrix[i:i + 1], per_row[i], weight)[0] for i in range(rows)])
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("distance", ["euclid", "manhattan", "semi"])
+def test_fields_never_write_their_inputs(protocol, distance):
+    """field_inputs' arrays are frozen, so a field that wrote to them would raise."""
+    cfg = ScenarioConfig(rows=5, cols=6, radio_range=1.5, protocol=protocol, distance=distance,
+                         align_depth=1, loc_error=0.4)
+    sc = Scenario.build(cfg)
+    t = sc.topology
+    local, targets, field = sc.ctx.field_inputs(protocol)
+    assert not local.flags.writeable and not targets.flags.writeable
+    for dst in range(t.n):
+        sc.ctx.dfield(protocol, dst)
+    greedy_lockstep(np.repeat(np.arange(t.n), t.n), np.tile(np.arange(t.n), t.n),
+                    local, targets, field, t, sc.ctx.ttl)
 
 
 @pytest.mark.parametrize("anchors", [(0, 13, 167), (0, 6, 13, 60, 84, 97, 154, 161, 167)])

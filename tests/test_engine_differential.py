@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from routesim import harness
 from routesim.coords import AnchorSet, CoordsError, VirtualCoords, build_vcs, hop_rows, pair_hops
-from routesim.distance import euclidean_field
+from routesim.distance import euclidean_field, whole_field
 from routesim.harness import Scenario, ScenarioConfig, _episodes, _eval_run, fixture_abc
 from routesim.routing import (
     METHOD_GG,
@@ -306,7 +306,7 @@ def _compare_gpsr(t: Topology, pos: np.ndarray, pg: Topology, ttl: int, pairs) -
     faces = face_table(pos, pg)
     seen = Counter()
     for src, dst in pairs:
-        dfield = euclidean_field(pos, pos[dst])
+        dfield = whole_field(euclidean_field, pos, pos[dst])
         rr = gpsr_route(src, dst, dfield, faces, t, ttl)
         assert rr == _reference_gpsr_route(src, dst, dfield, pos, pg, t, ttl), (src, dst, ttl)
         assert rr.delivered == (rr.path[-1] == dst), (rr, ttl)

@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 
-from routesim.distance import euclidean_field
+from routesim.distance import euclidean_field, whole_field
 from routesim.harness import Scenario, ScenarioConfig, evaluate
 from routesim.routing import (
     METHOD_GG,
@@ -40,7 +40,7 @@ def u_shape_topology():
 def _gpsr(src, dst, t, pg, ttl):
     """gpsr_route on the topology's own positions, walking faces of ``pg``."""
     pos = t.positions
-    return gpsr_route(src, dst, euclidean_field(pos, pos[dst]), face_table(pos, pg), t, ttl)
+    return gpsr_route(src, dst, whole_field(euclidean_field, pos, pos[dst]), face_table(pos, pg), t, ttl)
 
 
 def test_gpsr_self_route():

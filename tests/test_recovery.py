@@ -15,7 +15,7 @@ from routesim.topology import build_udg, generate_random, topology_from_adjacenc
 
 def abc_field(vc, dst):
     m = vc.matrix.astype(float)
-    return dm.euclidean_field(m, m[dst])
+    return dm.whole_field(dm.euclidean_field, m, m[dst])
 
 
 def test_lcr_self_route():
@@ -95,7 +95,8 @@ def test_bvr_mixed_delivery_uses_fallback_or_flood():
 
 def test_bvr_counterexample_pair_delivered():
     t, vc = fixture_abc()
-    dfield = dm.semi_manhattan_field(vc.matrix.astype(float), vc.matrix[ABC_A].astype(float), 10.0)
+    dfield = dm.whole_field(dm.field_function("semi", 10.0), vc.matrix.astype(float),
+                            vc.matrix[ABC_A].astype(float))
     rr = bvr_route(ABC_C, ABC_A, dfield, beacon_trees(vc, t), t, 10 * t.n)
     assert rr.delivered
 

@@ -1,6 +1,7 @@
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from routesim import distance as dm
@@ -24,7 +25,7 @@ from routesim.topology import (
 
 def test_trivial_self_route():
     t, vc = fixture_abc()
-    dfield = dm.euclidean_field(vc.matrix.astype(float), vc.matrix[ABC_A].astype(float))
+    dfield = dm.whole_field(dm.euclidean_field, vc.matrix.astype(float), vc.matrix[ABC_A].astype(float))
     rr = greedy_route(ABC_A, ABC_A, dfield, t, 100)
     assert rr.greedy
     assert rr.path == (ABC_A,) and rr.hops == 0
@@ -34,7 +35,7 @@ def test_forwarding_set_empty_at_counterexample_node():
     t, vc = fixture_abc()
     m = vc.matrix.astype(float)
     for field_fn in (dm.euclidean_field, dm.manhattan_field):
-        dfield = field_fn(m, m[ABC_A])
+        dfield = dm.whole_field(field_fn, m, m[ABC_A])
         # no dst argument: the one-hop hand-off must not mask an empty set
         assert greedy_next_hop(ABC_C, dfield, t) is None
         # B is one hop from A, so its set toward A is nonempty
@@ -45,7 +46,7 @@ def test_greedy_fails_at_counterexample_under_both_metrics():
     t, vc = fixture_abc()
     m = vc.matrix.astype(float)
     for field_fn in (dm.euclidean_field, dm.manhattan_field):
-        dfield = field_fn(m, m[ABC_A])
+        dfield = dm.whole_field(field_fn, m, m[ABC_A])
         rr = greedy_route(ABC_C, ABC_A, dfield, t, 500)
         assert not rr.delivered
         assert rr.failure_cause == Failure.LOCAL_MINIMUM
@@ -75,7 +76,7 @@ def test_greedy_destination_neighbor_handoff():
 def test_greedy_ttl():
     t = build_udg(generate_grid(1, 30, 1.0), 1.0)
     pos = t.positions
-    dfield = dm.euclidean_field(pos, pos[29])
+    dfield = dm.whole_field(dm.euclidean_field, pos, pos[29])
     rr = greedy_route(0, 29, dfield, t, ttl=5)
     assert rr.failure_cause == Failure.TTL_EXCEEDED
     assert rr.hops == 5
@@ -87,7 +88,7 @@ def test_greedy_monotone_and_no_revisit():
     pos = t.positions
     for _ in range(60):
         src, dst = rng.integers(0, t.n, 2)
-        dfield = dm.euclidean_field(pos, pos[dst])
+        dfield = dm.whole_field(dm.euclidean_field, pos, pos[dst])
         rr = greedy_route(int(src), int(dst), dfield, t, 1000)
         if not rr.delivered:
             continue
@@ -148,10 +149,14 @@ def test_engine_matches_vectorized_successors():
        seed=st.integers(0, 10_000), protocol=st.sampled_from(("gf-vcs", "gf-avcs", "gf-geo")),
        loc_error=st.sampled_from((0.0, 0.4)), distance=st.sampled_from(("euclid", "manhattan", "semi")),
        ttl_factor=st.sampled_from((0.6, 1.0, 4.0)),
-       pairs=st.sampled_from((1, 7, LOCKSTEP_BATCH - 1, LOCKSTEP_BATCH, 2 * LOCKSTEP_BATCH + 3)))
+       pairs=st.sampled_from((1, 7, LOCKSTEP_BATCH - 1, LOCKSTEP_BATCH, LOCKSTEP_BATCH + 1,
+                              2 * LOCKSTEP_BATCH + 3)))
 def test_lockstep_matches_greedy_forest(grid, side, radio_range, seed, protocol, loc_error,
                                         distance, ttl_factor, pairs):
     """Grids give integer coordinate ties; batch-sized pair counts cross a batch boundary.
+
+    With LOCKSTEP_BATCH + 1 pairs the last batch holds one pair and reads the
+    smallest slice of the step buffers.
 
     Both kernels give every pair greedy_route's hops and end: dst, the last
     node of its path (where recovery resumes), or -1 when the TTL cut it.
@@ -210,7 +215,7 @@ def test_kernels_match_greedy_route_on_disconnected_graphs(data):
     step_hops, step_stop = (a.reshape(n, n) for a in
                             greedy_lockstep(srcs, dsts, coords, coords, field, t, ttl))
     for dst in range(n):
-        dfield = field(coords, coords[dst])
+        dfield = dm.whole_field(field, coords, coords[dst])
         routes = [greedy_route(src, dst, dfield, t, ttl) for src in range(n)]
         hops = np.array([rr.hops for rr in routes])
         end = np.array([_stop(rr) for rr in routes])
@@ -218,6 +223,16 @@ def test_kernels_match_greedy_route_on_disconnected_graphs(data):
                                          greedy_forest(dfield, t, dst, ttl)):
             assert np.array_equal(kernel_hops, hops)
             assert np.array_equal(kernel_stop, end)
+
+
+def test_lockstep_rejects_out_of_range_pairs():
+    """The start distances gather with bounds checks, so the clipped step gathers never see a bad id."""
+    sc = Scenario.build(ScenarioConfig(rows=5, cols=5, radio_range=1.5, protocol="gf-vcs"))
+    t = sc.topology
+    inputs = sc.ctx.field_inputs("gf-vcs")
+    for srcs, dsts in (([0, t.n], [3, 3]), ([0, 1], [3, t.n])):
+        with pytest.raises(IndexError):
+            greedy_lockstep(np.array(srcs), np.array(dsts), *inputs, t, sc.ctx.ttl)
 
 
 def test_sp_route_basics():
@@ -245,7 +260,7 @@ def test_sp_is_stretch_denominator_floor():
     rng = np.random.default_rng(3)
     for _ in range(40):
         src, dst = (int(x) for x in rng.integers(0, t.n, 2))
-        rg = greedy_route(src, dst, dm.euclidean_field(pos, pos[dst]), t, 2000)
+        rg = greedy_route(src, dst, dm.whole_field(dm.euclidean_field, pos, pos[dst]), t, 2000)
         rs = sp_route(src, dst, t)
         if rg.delivered and rs.delivered:
             assert rg.hops >= rs.hops
