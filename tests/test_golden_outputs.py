@@ -5,7 +5,9 @@ and exit code must match ``golden_outputs.json``.  A change that alters any
 of them changes simulator output and has to say why.  Every ``eval`` and
 ``sweep`` case runs a second time with ``--workers 2``, and must match the
 same entry.  To rewrite the table after such a change, run
-``python tests/test_golden_outputs.py``.
+``python tests/test_golden_outputs.py``.  ``ROW_COUNTS`` pins what the CSV
+leaves out of each all-pairs ``eval`` row, its excluded pairs and failure
+counts, with one worker and with two.
 """
 
 from __future__ import annotations
@@ -109,6 +111,34 @@ def _cases() -> dict[str, tuple[str, list[str]]]:
     return cases
 
 
+# Every all-pairs ``eval`` case of the table -> (excluded_pairs, failures) of
+# its row: fields of the row object that the CSV does not print.
+ROW_COUNTS = {
+    "forwarding_void_map.cfg eval": (0, (("local-minimum", 94870),)),
+    "grid20_geo.cfg eval": (0, ()),
+    "grid20_hole29_avcs.cfg eval": (0, (("local-minimum", 4468),)),
+    "grid20_hole29_avcs.cfg[protocol=bvr,loc_error=0.4,ttl_factor=0.6] eval":
+        (0, (("ttl-exceeded", 72324),)),
+    "grid20_hole29_avcs.cfg[protocol=bvr,loc_error=0.4] eval": (0, ()),
+    "grid20_hole29_avcs.cfg[protocol=bvr,rows=12,cols=12,voids=disc:5.5,5.5,2.5,loc_error=0.4] eval":
+        (0, ()),
+    "grid20_hole29_avcs.cfg[protocol=gf-geo,voids=rect:9.5,9.5,0.6,10.0,loc_error=0.4] eval":
+        (72000, (("local-minimum", 2891),)),
+    "grid20_hole29_avcs.cfg[protocol=gpsr-gg,rows=12,cols=12,voids=disc:5.5,5.5,2.5,loc_error=0.4] eval":
+        (0, ()),
+    "grid20_hole29_avcs.cfg[protocol=gpsr-rng,loc_error=0.4,ttl_factor=0.6] eval":
+        (0, (("local-minimum", 2408), ("perimeter-loop", 6798), ("ttl-exceeded", 23383))),
+    "grid20_hole29_avcs.cfg[protocol=gpsr-rng,loc_error=0.4] eval":
+        (0, (("local-minimum", 2445), ("perimeter-loop", 8675), ("ttl-exceeded", 53))),
+    "grid20_hole29_avcs.cfg[protocol=gpsr-rng,rows=12,cols=12,voids=disc:5.5,5.5,2.5,loc_error=0.4] eval":
+        (0, (("local-minimum", 516), ("perimeter-loop", 99), ("ttl-exceeded", 34))),
+    "grid20_hole29_avcs.cfg[protocol=gpsr-rng,voids=rect:9.5,9.5,0.6,10.0,loc_error=0.4] eval":
+        (72000, (("local-minimum", 14), ("perimeter-loop", 138), ("ttl-exceeded", 166))),
+    "grid20_hole29_avcs.cfg[protocol=sp,voids=rect:9.5,9.5,0.6,10.0,loc_error=0.4] eval": (72000, ()),
+    "random400_vcs.cfg eval": (0, (("local-minimum", 46008),)),
+}
+
+
 def _forked(args: list[str]) -> list[str]:
     """The same command with ``--workers 2`` before its subcommand."""
     at = next(i for i, a in enumerate(args) if a in ("eval", "sweep"))
@@ -152,6 +182,17 @@ def test_cli_output_matches_golden(case, tmp_path):
 def test_forked_output_matches_golden(case, tmp_path):
     """Two workers print the bytes of the serial run's table entry."""
     assert _run(case, tmp_path, forked=True) == json.loads(TABLE.read_text())[case]
+
+def test_row_counts_cover_every_all_pairs_eval():
+    assert sorted(ROW_COUNTS) == sorted(c for c, (_, args) in _cases().items() if args == ["eval"])
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("case", sorted(ROW_COUNTS))
+def test_row_counts_match_golden(case, workers):
+    row = evaluate(parse_config(_cases()[case][0]), workers=workers)
+    assert (row.excluded_pairs, row.failures) == ROW_COUNTS[case]
+
 
 
 if __name__ == "__main__":
