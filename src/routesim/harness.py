@@ -314,16 +314,20 @@ class MetricsRow:
         )
 
 
+# How an evaluated pair's route ended, as an index into OUTCOMES: delivered
+# on greedy hops alone, delivered after recovery, or its failure cause, which
+# is unreachable for a pair with no path.
+OUTCOMES = ("greedy", "recovered", Failure.LOCAL_MINIMUM, Failure.TTL_EXCEEDED,
+            Failure.PERIMETER_LOOP, Failure.BACKTRACK_EXHAUSTED, Failure.UNREACHABLE)
+_CODE = {outcome: np.int8(code) for code, outcome in enumerate(OUTCOMES)}
+GREEDY, RECOVERED = _CODE["greedy"], _CODE["recovered"]
+
+
 class _Outcomes(NamedTuple):
-    """Outcomes of a run of destination groups, per pair in (dst, src) order.
+    """Outcomes of a run of destination groups, per pair in (dst, src) order."""
 
-    No pair has src == dst, so a pair was delivered exactly when its hops
-    are above 0.
-    """
-
-    greedy: np.ndarray       # delivered by greedy alone
+    end: np.ndarray          # int8 outcome code
     hops: np.ndarray         # int32 length of the delivered route, else 0
-    failures: Counter        # cause -> reachable pairs that were not delivered
     episodes: np.ndarray     # complementary episodes as rows (dst, entry, end, hops)
 
 
@@ -345,7 +349,8 @@ def _eval_run(sc: Scenario, lo: int, hi: int) -> _Outcomes:
     the run share greedy_lockstep batches, each dense group gets its own
     greedy_forest.  Their ``stop`` alone tells the outcome: dst when greedy
     delivered, the stall node u, or -1 when the TTL ended the walk (-1 too
-    for an unreachable pair, which no kernel routes).  A recovery protocol
+    for an unreachable pair, which no kernel routes and whose code is
+    unreachable).  A recovery protocol
     then resumes each pair that greedy did not deliver where its greedy
     walk stopped, as ``_engine``'s continuation: every engine is
     greedy_route plus an episode at a local minimum and checks the TTL
@@ -370,8 +375,8 @@ def _eval_run(sc: Scenario, lo: int, hi: int) -> _Outcomes:
     srcs, dsts, sp = (a[lo:hi] for a in sc.pairs)
     reach = sp >= 0
     if spec.recovery == Recovery.SHORTEST_PATH:
-        return _Outcomes(reach, np.where(reach, sp, 0), Counter(),
-                         np.empty((0, 4), dtype=np.int64))
+        return _Outcomes(np.where(reach, GREEDY, _CODE[Failure.UNREACHABLE]),
+                         np.where(reach, sp, 0), np.empty((0, 4), dtype=np.int64))
     first = np.diff(dsts, prepend=-1) != 0
     group_of = np.cumsum(first) - 1
     bounds = np.flatnonzero(first).tolist() + [len(dsts)]
@@ -397,19 +402,18 @@ def _eval_run(sc: Scenario, lo: int, hi: int) -> _Outcomes:
         lock_keys = np.unique(keyed(np.flatnonzero(pick & (stop != dsts)))[0])
         key_bounds = np.searchsorted(lock_keys, np.arange(len(bounds)) * t.n)
         active[lock_keys // t.n] = True
-    # One row per continuation, keys ascending: key, hops, failure code (-1
-    # when delivered) and the number of its episodes in ``found``.
+    # One row per continuation, keys ascending: key, hops, outcome code and
+    # the number of its episodes in ``found``.
     ran = []
-    causes = {Failure.TTL_EXCEEDED: 0}
     found = []
     for g in np.flatnonzero(active).tolist():
-        start, end = bounds[g], bounds[g + 1]
+        start = bounds[g]
         dst = int(dsts[start])
         dfield = sc.ctx.dfield(sc.config.protocol, dst)
         if lock[g]:
             keys = lock_keys[key_bounds[g]:key_bounds[g + 1]]
         else:
-            pairs = np.flatnonzero(reach[start:end]) + start
+            pairs = np.flatnonzero(reach[start:bounds[g + 1]]) + start
             hops[pairs], stop[pairs] = (a[srcs[pairs]] for a in greedy_forest(dfield, t, dst, ttl))
             if not recover:
                 continue
@@ -418,37 +422,34 @@ def _eval_run(sc: Scenario, lo: int, hi: int) -> _Outcomes:
         base = g * t.n
         for key in keys.tolist():
             rr = engine(key - base)
-            if rr.delivered:
-                episodes = list(_episodes(rr))
-                found.extend(episodes)
-                ran.append((key, rr.hops, -1, len(episodes)))
-            else:
-                ran.append((key, rr.hops, causes.setdefault(rr.failure_cause, len(causes)), 0))
+            episodes = list(_episodes(rr)) if rr.delivered else []
+            found.extend(episodes)
+            ran.append((key, rr.hops, _CODE[rr.failure_cause or "recovered"], len(episodes)))
     greedy = stop == dsts
+    ttl_exceeded = _CODE[Failure.TTL_EXCEEDED]
+    # A walk greedy did not deliver stalled at stop, or the TTL cut it (-1).
+    end = np.where(stop >= 0, _CODE[Failure.LOCAL_MINIMUM], ttl_exceeded)
+    end[greedy] = GREEDY
+    end[~reach] = _CODE[Failure.UNREACHABLE]
     if not recover:
-        timed = stop[reach & ~greedy] < 0
-        failures = Counter()
-        failures[Failure.TTL_EXCEEDED] = int(np.count_nonzero(timed))
-        failures[Failure.LOCAL_MINIMUM] = len(timed) - failures[Failure.TTL_EXCEEDED]
         hops[~greedy] = 0
-        return _Outcomes(greedy, hops, failures, np.empty((0, 4), dtype=np.int64))
+        return _Outcomes(end, hops, np.empty((0, 4), dtype=np.int64))
     # Fan each continuation's outcome out to the pairs that share its key.
     stalled = np.flatnonzero(reach & ~greedy)
     key, prefix = keyed(stalled)
-    ran_keys, ran_hops, ran_cause, ran_count = np.array(ran, dtype=np.int64).reshape(-1, 4).T
+    ran_keys, ran_hops, ran_end, ran_count = np.array(ran, dtype=np.int64).reshape(-1, 4).T
     of = np.searchsorted(ran_keys, key)
-    c, cause = ran_hops[of], ran_cause[of]
-    fits = c <= ttl - prefix
-    done = fits & (cause < 0)
+    c = ran_hops[of]
+    end[stalled] = np.where(c <= ttl - prefix, ran_end[of], ttl_exceeded)
+    done = end[stalled] == RECOVERED
     hops[stalled] = np.where(done, prefix + c, 0)
-    failed = np.bincount(np.where(fits, cause, 0)[~done], minlength=len(causes))
     # Each delivered pair's rows of ``found``, pair after pair.
     count = ran_count[of[done]]
     first_row = (np.cumsum(ran_count) - ran_count)[of[done]]
     rows = np.repeat(first_row - (np.cumsum(count) - count), count) + np.arange(count.sum())
     episodes = np.column_stack((np.repeat(dsts[stalled[done]], count),
                                 np.array(found, dtype=np.int64).reshape(-1, 3)[rows]))
-    return _Outcomes(greedy, hops, Counter(dict(zip(causes, failed.tolist()))), episodes)
+    return _Outcomes(end, hops, episodes)
 
 
 def _engine(sc: Scenario, dst: int, dfield: np.ndarray):
@@ -567,15 +568,13 @@ def evaluate_scenario(sc: Scenario, workers: int = 1) -> MetricsRow:
         runs = [_eval_run(sc, 0, len(dsts))]
     else:
         runs = _parallel_eval(sc, workers)
-    greedy = np.concatenate([run.greedy for run in runs])
+    end = np.concatenate([run.end for run in runs])
     hops = np.concatenate([run.hops for run in runs])
-    failures: Counter = Counter()
-    for run in runs:
-        failures += run.failures      # keeps positive counts only
-
-    pairs = int(np.count_nonzero(sp >= 0))
-    n_greedy = int(np.count_nonzero(greedy))
-    n_delivered = int(np.count_nonzero(hops))
+    count = {outcome: int(np.count_nonzero(end == code)) for outcome, code in _CODE.items()}
+    excluded = count.pop(Failure.UNREACHABLE)
+    pairs = len(end) - excluded
+    n_greedy = count.pop("greedy")
+    n_delivered = n_greedy + count.pop("recovered")
     # 0.0 where not delivered (hops 0); -0.0 where excluded (sp -1), and x + -0.0 is x
     stretch = hops / sp
     ratio = lambda a, b: a / b if b else float("nan")
@@ -590,12 +589,12 @@ def evaluate_scenario(sc: Scenario, workers: int = 1) -> MetricsRow:
         pairs=pairs,
         greedy_ratio=ratio(n_greedy, pairs),
         delivery_ratio=ratio(n_delivered, pairs),
-        stretch_greedy=ratio(_ordered_sum(np.where(greedy, stretch, 0.0), dsts), n_greedy),
+        stretch_greedy=ratio(_ordered_sum(np.where(end == GREEDY, stretch, 0.0), dsts), n_greedy),
         stretch_all=ratio(_ordered_sum(stretch, dsts), n_delivered),
         stretch_complementary=_complementary_stretch(
             sc.topology, np.concatenate([run.episodes for run in runs])),
-        excluded_pairs=len(sp) - pairs,
-        failures=tuple(sorted(failures.items())),
+        excluded_pairs=excluded,
+        failures=tuple(sorted((cause, k) for cause, k in count.items() if k)),
     )
 
 

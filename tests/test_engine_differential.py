@@ -26,7 +26,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from routesim import harness
 from routesim.coords import AnchorSet, CoordsError, VirtualCoords, build_vcs, hop_rows, pair_hops
 from routesim.distance import euclidean_field, whole_field
-from routesim.harness import Scenario, ScenarioConfig, _episodes, _eval_run, fixture_abc
+from routesim.harness import OUTCOMES, Scenario, ScenarioConfig, _episodes, _eval_run, fixture_abc
 from routesim.routing import (
     METHOD_GG,
     METHOD_RNG,
@@ -447,24 +447,26 @@ def test_parent_table_rejects_a_column_that_is_not_a_bfs_layering():
 
 
 def _assert_eval_run_matches_routes(sc: Scenario) -> None:
-    """``_eval_run`` over every pair equals one ``route`` call per pair: greedy
-    flags, hops, failure counts, and the episodes in (dst, src) order.
+    """``_eval_run`` over every pair equals one ``route`` call per pair: each
+    pair's outcome code and hops, and the episodes in (dst, src) order.  The
+    code is greedy, recovered or the route's failure cause, and unreachable
+    for a pair with no path.
 
     Every engine call it makes is ``route`` from the call's start node: it
     passes the scenario's TTL and returns the same RouteResult.
     """
     srcs, dsts, sp = sc.pairs
-    greedy, hops, failures, episodes = [], [], Counter(), []
+    ends, hops, episodes = [], [], []
     for src, dst, reachable in zip(srcs.tolist(), dsts.tolist(), (sp >= 0).tolist()):
-        rr = route(sc.config.protocol, src, dst, sc.ctx) if reachable else None
-        greedy.append(rr is not None and rr.greedy)
-        hops.append(rr.hops if rr is not None and rr.delivered else 0)
-        if rr is None:
+        if not reachable:
+            ends.append(OUTCOMES.index(Failure.UNREACHABLE))
+            hops.append(0)
             continue
+        rr = route(sc.config.protocol, src, dst, sc.ctx)
+        ends.append(OUTCOMES.index("greedy" if rr.greedy else rr.failure_cause or "recovered"))
+        hops.append(rr.hops if rr.delivered else 0)
         if rr.delivered:
             episodes.extend((dst, *ep) for ep in _episodes(rr))
-        else:
-            failures[rr.failure_cause] += 1
     calls = []
 
     def spy(engine):
@@ -482,9 +484,8 @@ def _assert_eval_run_matches_routes(sc: Scenario) -> None:
     for used, rr in calls:
         assert used == ttl
         assert rr == route(sc.config.protocol, rr.src, rr.dst, sc.ctx)
-    assert run.greedy.tolist() == greedy
+    assert run.end.dtype == np.int8 and run.end.tolist() == ends
     assert run.hops.tolist() == hops
-    assert +run.failures == failures
     assert run.episodes.tolist() == [list(ep) for ep in episodes]
 
 

@@ -23,6 +23,7 @@ from routesim.harness import (
     ABC_VECTORS,
     CSV_HEADER,
     LOCKSTEP_CROSSOVER,
+    OUTCOMES,
     Scenario,
     ScenarioConfig,
     ScenarioError,
@@ -34,7 +35,7 @@ from routesim.harness import (
     fixture_abc,
     sweep,
 )
-from routesim.routing import (PROTOCOL_SPECS, PROTOCOLS, CoordSource, Mode,
+from routesim.routing import (PROTOCOL_SPECS, PROTOCOLS, CoordSource, Failure, Mode,
                               RoutingContext, greedy_next_hop, route)
 from routesim.topology import TopologyError, VoidSpec
 
@@ -617,9 +618,8 @@ def test_eval_runs_over_destination_cuts_concatenate_to_one_run(data, **case):
     cuts = sorted(chosen | {0, len(dsts)})
     whole = _eval_run(sc, 0, len(dsts))
     parts = [_eval_run(sc, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    for name in ("greedy", "hops", "episodes"):
+    for name in ("end", "hops", "episodes"):
         assert np.array_equal(np.concatenate([getattr(p, name) for p in parts]), getattr(whole, name))
-    assert sum((p.failures for p in parts), Counter()) == +whole.failures
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -642,7 +642,8 @@ def test_pairs_are_sorted_and_delivered_exactly_when_hops_are_positive(**case):
         rr = route(sc.config.protocol, src, dst, sc.ctx)
         assert (run.hops[i] > 0) == rr.delivered
         assert run.hops[i] == (rr.hops if rr.delivered else 0)
-        assert run.greedy[i] == rr.greedy
+        end = "greedy" if rr.greedy else rr.failure_cause or "recovered"
+        assert OUTCOMES[run.end[i]] == (Failure.UNREACHABLE if cross[i] else end)
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
